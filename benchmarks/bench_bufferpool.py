@@ -28,10 +28,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.harness import ExperimentConfig, build_cluster  # noqa: E402
+from repro.bench.harness import (  # noqa: E402
+    ExperimentConfig,
+    build_cluster,
+    pclouds_config,
+)
 from repro.bench.reporting import format_table  # noqa: E402
-from repro.clouds import CloudsConfig  # noqa: E402
-from repro.core import DistributedDataset, PClouds, PCloudsConfig  # noqa: E402
+from repro.core import DistributedDataset, PClouds  # noqa: E402
 from repro.data import generate_quest, quest_schema  # noqa: E402
 
 MODES = ("off", "lru", "lru+prefetch")
@@ -58,19 +61,7 @@ def run_point(n_records: int, p: int, mode: str, scale: float) -> dict:
     dataset = DistributedDataset.create(
         cluster, schema, cols, labels, seed=cfg.seed + 1
     )
-    pc = PClouds(
-        PCloudsConfig(
-            clouds=CloudsConfig(
-                method=cfg.method,
-                q_root=cfg.resolved_q_root(),
-                sample_size=cfg.resolved_sample(),
-                min_node=cfg.min_node,
-                purity=cfg.purity,
-            ),
-            q_switch=cfg.q_switch,
-        )
-    )
-    res = pc.fit(dataset, seed=cfg.seed + 2)
+    res = PClouds(pclouds_config(cfg)).fit(dataset, seed=cfg.seed + 2)
     ctxs = dataset.contexts
     out = {
         "elapsed": res.elapsed,

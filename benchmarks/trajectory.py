@@ -42,11 +42,6 @@ SCHEMA_VERSION = 1
 #: Extractors take the whole payload and reduce to the *worst* point so
 #: the gate watches the weakest case, not a lucky average.
 HEADLINES = {
-    "frontier_batching": (
-        "min_elapsed_ratio",
-        "higher",
-        lambda p: min(pt["elapsed_ratio"] for pt in p["points"]),
-    ),
     "bufferpool": (
         "min_read_reduction",
         "higher",

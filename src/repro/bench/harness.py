@@ -36,6 +36,7 @@ __all__ = [
     "ForestExperimentConfig",
     "scaled_models",
     "build_cluster",
+    "pclouds_config",
     "run_pclouds",
     "run_forest",
     "bench_payload",
@@ -85,6 +86,7 @@ class ExperimentConfig:
     exchange: str = "attribute"
     #: voting exchange: attributes each rank nominates per node
     vote_top_k: int = 8
+    #: accepts only "level" (see :class:`PCloudsConfig`)
     frontier_batching: str = "level"
     #: per-rank chunk cache + overlapped prefetch for the out-of-core
     #: layer ("off" | "lru" | "lru+prefetch"); on by default — trees are
@@ -121,6 +123,23 @@ class ExperimentConfig:
     def pool_nbytes(self, row_nbytes: int) -> int:
         """Buffer-pool capacity for this point's cluster."""
         return int(self.pool_ratio * self.memory_limit_bytes(row_nbytes))
+
+
+def pclouds_config(cfg: ExperimentConfig) -> PCloudsConfig:
+    """The pCLOUDS configuration of one experiment point."""
+    return PCloudsConfig(
+        clouds=CloudsConfig(
+            method=cfg.method,
+            q_root=cfg.resolved_q_root(),
+            sample_size=cfg.resolved_sample(),
+            min_node=cfg.min_node,
+            purity=cfg.purity,
+        ),
+        q_switch=cfg.q_switch,
+        exchange=cfg.exchange,
+        frontier_batching=cfg.frontier_batching,
+        vote_top_k=cfg.vote_top_k,
+    )
 
 
 def build_cluster(cfg: ExperimentConfig, row_nbytes: int) -> Cluster:
@@ -194,19 +213,7 @@ def run_forest(
     forest = PForest(
         ForestConfig(
             n_trees=cfg.n_trees,
-            pclouds=PCloudsConfig(
-                clouds=CloudsConfig(
-                    method=cfg.method,
-                    q_root=cfg.resolved_q_root(),
-                    sample_size=cfg.resolved_sample(),
-                    min_node=cfg.min_node,
-                    purity=cfg.purity,
-                ),
-                q_switch=cfg.q_switch,
-                exchange=cfg.exchange,
-                frontier_batching=cfg.frontier_batching,
-                vote_top_k=cfg.vote_top_k,
-            ),
+            pclouds=pclouds_config(cfg),
             regime=cfg.regime,
             n_groups=cfg.n_groups,
         )
@@ -215,7 +222,11 @@ def run_forest(
 
 
 def run_pclouds(
-    cfg: ExperimentConfig, *, trace: bool = False, metrics: bool = False
+    cfg: ExperimentConfig,
+    *,
+    trace: bool = False,
+    metrics: bool = False,
+    health=None,
 ) -> PCloudsResult:
     """Generate data, distribute it, and fit pCLOUDS once.
 
@@ -223,8 +234,9 @@ def run_pclouds(
     phases) on ``result.tracers`` — the Fig. 1–3 benches use it to emit
     phase-attributed timelines and Perfetto exports. ``metrics=True``
     runs under the live metrics registry and health monitor
-    (:mod:`repro.obs`); embed ``result.metrics_snapshot()`` in BENCH
-    payloads via :func:`bench_payload`.
+    (:mod:`repro.obs`), with ``health`` overriding its alert thresholds;
+    embed ``result.metrics_snapshot()`` in BENCH payloads via
+    :func:`bench_payload`.
     """
     schema = quest_schema()
     cols, labels = generate_quest(
@@ -234,22 +246,9 @@ def run_pclouds(
     dataset = DistributedDataset.create(
         cluster, schema, cols, labels, seed=cfg.seed + 1
     )
-    pc = PClouds(
-        PCloudsConfig(
-            clouds=CloudsConfig(
-                method=cfg.method,
-                q_root=cfg.resolved_q_root(),
-                sample_size=cfg.resolved_sample(),
-                min_node=cfg.min_node,
-                purity=cfg.purity,
-            ),
-            q_switch=cfg.q_switch,
-            exchange=cfg.exchange,
-            frontier_batching=cfg.frontier_batching,
-            vote_top_k=cfg.vote_top_k,
-        )
+    return PClouds(pclouds_config(cfg)).fit(
+        dataset, seed=cfg.seed + 2, trace=trace, metrics=metrics, health=health
     )
-    return pc.fit(dataset, seed=cfg.seed + 2, trace=trace, metrics=metrics)
 
 
 def bench_payload(result: PCloudsResult, **extra) -> dict:

@@ -395,38 +395,10 @@ def cmd_health(args: argparse.Namespace) -> int:
     )
     cfg = ExperimentConfig(
         n_records=args.records, n_ranks=args.ranks, scale=args.scale,
-        seed=args.seed, frontier_batching=args.frontier_batching,
-        buffer_pool=args.buffer_pool,
+        seed=args.seed, buffer_pool=args.buffer_pool,
         exchange=args.exchange, vote_top_k=args.vote_top_k,
     )
-    from repro.bench.harness import build_cluster
-
-    schema = quest_schema()
-    cols, labels = generate_quest(
-        cfg.n_records, cfg.function, seed=cfg.seed, noise=cfg.noise
-    )
-    cluster = build_cluster(cfg, schema.row_nbytes())
-    dataset = DistributedDataset.create(
-        cluster, schema, cols, labels, seed=cfg.seed + 1
-    )
-    pc = PClouds(
-        PCloudsConfig(
-            clouds=CloudsConfig(
-                method=cfg.method,
-                q_root=cfg.resolved_q_root(),
-                sample_size=cfg.resolved_sample(),
-                min_node=cfg.min_node,
-                purity=cfg.purity,
-            ),
-            q_switch=cfg.q_switch,
-            exchange=cfg.exchange,
-            frontier_batching=cfg.frontier_batching,
-            vote_top_k=cfg.vote_top_k,
-        )
-    )
-    pc_result = pc.fit(
-        dataset, seed=cfg.seed + 2, metrics=True, health=thresholds
-    )
+    pc_result = run_pclouds(cfg, metrics=True, health=thresholds)
     print(render_health_markdown(
         pc_result.health,
         title=f"Run health: {args.records:,} records on {args.ranks} ranks",
@@ -528,8 +500,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
 
     cfg = ExperimentConfig(
         n_records=args.records, n_ranks=args.ranks, scale=args.scale,
-        seed=args.seed, frontier_batching=args.frontier_batching,
-        buffer_pool=args.buffer_pool,
+        seed=args.seed, buffer_pool=args.buffer_pool,
         exchange=args.exchange, vote_top_k=args.vote_top_k,
     )
     res = run_pclouds(cfg, trace=True, metrics=True)
@@ -567,7 +538,6 @@ def cmd_critpath(args: argparse.Namespace) -> int:
         meta={
             "exchange": cfg.exchange,
             "buffer_pool": cfg.buffer_pool,
-            "frontier_batching": cfg.frontier_batching,
             "elapsed_s": f"{res.elapsed:.4f}",
         },
     ))
@@ -743,9 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--scale", type=float, default=200.0, help="cost-model scale")
     h.add_argument("--seed", type=int, default=0)
     h.add_argument(
-        "--frontier-batching", default="level", choices=["level", "per_node"]
-    )
-    h.add_argument(
         "--buffer-pool", default="lru+prefetch",
         choices=list(Cluster.BUFFER_POOL_MODES),
         help="out-of-core chunk cache mode",
@@ -833,9 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--ranks", type=int, default=4)
     cp.add_argument("--scale", type=float, default=200.0, help="cost-model scale")
     cp.add_argument("--seed", type=int, default=0)
-    cp.add_argument(
-        "--frontier-batching", default="level", choices=["level", "per_node"]
-    )
     cp.add_argument(
         "--buffer-pool", default="lru+prefetch",
         choices=list(Cluster.BUFFER_POOL_MODES),

@@ -341,8 +341,8 @@ class Comm:
         rank — exactly the per-slot semantics of ``allreduce_minloc``.
         Returns one ``(value, payload, rank)`` triple per slot. The wire
         cost is one ``alpha·log p`` startup for the whole batch plus the
-        summed per-slot payloads, which is what makes level-batched
-        split elections cheaper than ``k`` separate calls.
+        summed per-slot payloads, which is what makes a batch's split
+        elections cheaper than ``k`` separate calls.
 
         All ranks must pass the same number of slots; a mismatch aborts
         the world like any other SPMD divergence.

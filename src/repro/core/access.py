@@ -55,18 +55,24 @@ class NodeAccess:
         raise NotImplementedError
 
     def release(self) -> None:
-        """Drop any memory-resident copy of the fragment. The
-        level-batched driver keeps every node of a frontier level open
-        at once; releasing each access after its last pass caps the
-        resident footprint at one node's columns instead of a level's."""
+        """Drop any memory-resident copy of the fragment and return its
+        bytes to the rank's memory budget. The driver keeps every node of
+        a batch open from its stats pass to the batch's last partition,
+        so the batch's in-core fragments are resident together; each
+        holds its bytes on ``ctx.memory`` until released, and
+        :func:`open_node` streams a node that no longer fits beside
+        them."""
 
 
 class InCoreAccess(NodeAccess):
-    """Fragment fits the memory budget: one read, then memory-resident."""
+    """Fragment fits the memory budget: one read, then memory-resident
+    (its bytes reserved on ``ctx.memory`` until :meth:`release`)."""
 
     def __init__(self, ctx: RankContext, cs: ColumnSet, schema: Schema) -> None:
         super().__init__(ctx, cs, schema)
         self.columns, self.labels = cs.read_all()
+        self._held = cs.nbytes
+        ctx.memory.acquire(self._held)
 
     def stats_pass(self, boundaries: dict[str, np.ndarray]) -> NodeStats:
         stats = empty_stats(self.schema, boundaries)
@@ -104,6 +110,8 @@ class InCoreAccess(NodeAccess):
     def release(self) -> None:
         self.columns = {}
         self.labels = np.empty(0, dtype=np.int64)
+        self.ctx.memory.release(self._held)
+        self._held = 0
 
 
 class StreamingAccess(NodeAccess):
@@ -173,7 +181,8 @@ class StreamingAccess(NodeAccess):
 def open_node(ctx: RankContext, cs: ColumnSet, schema: Schema) -> NodeAccess:
     """Pick the access mode by the per-processor memory limit (Section 6:
     "large nodes are processed out-of-core if the size of those nodes
-    exceed a pre-specified memory limit")."""
+    exceed a pre-specified memory limit"), counting the in-core
+    fragments still open on this rank."""
     if ctx.memory.fits(cs.nbytes):
         return InCoreAccess(ctx, cs, schema)
     return StreamingAccess(ctx, cs, schema)

@@ -38,61 +38,6 @@ def assign_by_cost(costs: list[float], n_ranks: int) -> list[int]:
     return owner
 
 
-def evaluate_alive_parallel(
-    ctx: RankContext,
-    access: NodeAccess,
-    alive: list[AliveInterval],
-    total_counts: np.ndarray,
-    schema: Schema,
-    boundary_split: Split | None,
-) -> Split | None:
-    """SSE's second phase for one large node; returns the node's final
-    splitter (the boundary winner unless an interior point beats it).
-
-    Collective: every rank must call with the identical ``alive`` list.
-    """
-    comm = ctx.comm
-    if not alive:
-        return boundary_split
-
-    owner = assign_by_cost([iv.sort_cost() for iv in alive], comm.size)
-
-    # extract local members and route them to interval owners
-    members = access.alive_members(alive)
-    parts: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [
-        dict() for _ in range(comm.size)
-    ]
-    for k, (vals, labs) in enumerate(members):
-        if len(vals):
-            parts[owner[k]][k] = (vals, labs)
-    incoming = comm.alltoall(parts)
-
-    # owner side: assemble each owned interval, sort, evaluate every point
-    best_local: Split | None = None
-    mine = [k for k in range(len(alive)) if owner[k] == comm.rank]
-    for k in mine:
-        pieces = [src[k] for src in incoming if k in src]
-        if not pieces:
-            continue
-        vals = np.concatenate([p[0] for p in pieces])
-        labs = np.concatenate([p[1] for p in pieces])
-        ctx.charge_sort(len(vals))
-        ctx.charge_compute(ops=len(vals) * schema.n_classes)
-        cand = evaluate_alive_interval(
-            alive[k], vals, labs, np.asarray(total_counts, dtype=np.float64),
-            schema.n_classes,
-        )
-        best_local = better(best_local, cand)
-
-    value = best_local.gini if best_local is not None else float("inf")
-    _, interior, _ = comm.allreduce_minloc(
-        value,
-        best_local,
-        tiebreak=best_local.order_key() if best_local is not None else None,
-    )
-    return better(boundary_split, interior)
-
-
 def evaluate_alive_level(
     ctx: RankContext,
     accesses: list[NodeAccess],
@@ -101,17 +46,20 @@ def evaluate_alive_level(
     schema: Schema,
     boundary_splits: list[Split | None],
 ) -> list[Split | None]:
-    """Batched :func:`evaluate_alive_parallel` for one frontier level.
+    """SSE's second phase for a batch of large nodes; returns each node's
+    final splitter (the boundary winner unless an interior point beats
+    it), in batch order.
 
-    The LPT cost assignment runs over the *global* pool of (node,
-    interval) items, so a level with one hot node and many cold ones
+    The LPT cost assignment runs over the pool of (node, interval) items
+    of the whole batch, so a batch with one hot node and many cold ones
     still balances; all members travel in **one** personalized
     all-to-all and the per-node interior winners are elected in **one**
-    k-way min-reduction. The elected split of each node is bit-identical
-    to the per-node path: interval evaluation is independent of which
-    rank owns it (pieces concatenate in source-rank order and the
-    evaluator sorts stably), and the election compares
-    ``(gini, order_key)`` exactly as the per-node reduction does.
+    k-way min-reduction. A node's split does not depend on its batch:
+    interval evaluation is independent of which rank owns it (pieces
+    concatenate in source-rank order and the evaluator sorts stably), and
+    the election compares ``(gini, order_key)``.
+
+    Collective: every rank must call with the identical alive lists.
     """
     comm = ctx.comm
     k = len(alive_lists)
@@ -163,3 +111,17 @@ def evaluate_alive_level(
         ],
     )
     return [better(boundary_splits[j], elected[j][1]) for j in range(k)]
+
+
+def evaluate_alive_parallel(
+    ctx: RankContext,
+    access: NodeAccess,
+    alive: list[AliveInterval],
+    total_counts: np.ndarray,
+    schema: Schema,
+    boundary_split: Split | None,
+) -> Split | None:
+    """:func:`evaluate_alive_level` over a batch of one node."""
+    return evaluate_alive_level(
+        ctx, [access], [alive], [total_counts], schema, [boundary_split]
+    )[0]

@@ -51,16 +51,16 @@ class PCloudsConfig:
     ``vote_top_k`` — nominations per rank for ``exchange="voting"``
     (ignored by the exact strategies).
 
-    ``frontier_batching`` — how the breadth-first large-node frontier is
-    driven. ``"level"`` (the default) fuses the per-node collectives of
-    every node on one frontier level into single batched exchanges — one
-    stats alltoall, one k-way split election, one alive allgather, one
-    member-routing alltoall, one interior election and one stacked
-    left-count allreduce per level — so the collective count per level
-    is constant in the frontier width (the communication-batching idea
-    of Meng et al. 2016). ``"per_node"`` is the paper's original
-    one-node-at-a-time driver, kept as an ablation baseline; both modes
-    produce bit-identical trees.
+    ``frontier_batching`` — accepts only ``"level"``, the one driver:
+    each breadth-first frontier level's large nodes run in consecutive
+    batches sized to the rank's buffer pool, and every batch fuses its
+    nodes' collectives into one stats alltoall, one k-way split election,
+    one alive allgather, one member-routing alltoall, one interior
+    election and one stacked left-count allreduce (the
+    communication-batching idea of Meng et al. 2016). A node the pool
+    cannot share is a batch of one — the paper's per-node cycle — and
+    without a pool a whole level is one batch. The tree does not depend
+    on the batching.
     """
 
     clouds: CloudsConfig = field(default_factory=CloudsConfig)
@@ -86,8 +86,8 @@ class PCloudsConfig:
             raise ValueError(
                 f"vote_top_k must be at least 1, got {self.vote_top_k!r}"
             )
-        if self.frontier_batching not in ("level", "per_node"):
+        if self.frontier_batching != "level":
             raise ValueError(
-                "frontier_batching must be 'level' or 'per_node', got "
+                "frontier_batching accepts only 'level', got "
                 f"{self.frontier_batching!r}"
             )

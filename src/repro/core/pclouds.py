@@ -10,7 +10,9 @@ The tree is built with **mixed parallelism**:
   attribute-based exchange, alive intervals are evaluated with the
   single-assignment approach, and each processor partitions its local
   share — the I/O stays local and uniform, so load balance is near
-  perfect (Lemma 2).
+  perfect (Lemma 2). The large nodes of one breadth-first level run in
+  consecutive batches sized to the rank's buffer pool, each batch paying
+  one set of collectives; a batch of one is the paper's per-node cycle.
 * **Small nodes** are deferred until every large node is done, then
   handled with *delayed task parallelism*: cost-based assignment of whole
   nodes to processors, one batched redistribution, local in-memory exact
@@ -32,18 +34,20 @@ from repro.cluster.machine import Cluster, RankContext, SpmdRun
 from repro.clouds.builder import node_boundaries
 from repro.clouds.gini import gini_from_counts
 from repro.clouds.intervals import class_counts, scale_q
-from repro.clouds.splits import Split
 from repro.clouds.tree import DecisionTree, TreeNode, decode_node
 from repro.data.schema import Schema
 from repro.ooc.columnset import ColumnSet
 
 from .access import open_node
-from .alive import evaluate_alive_level, evaluate_alive_parallel
+
+# the one-node forms of the batch steps (evaluate_alive_parallel,
+# exchange_node_stats) stay importable here: perfbench/layers.py wraps them
+from .alive import evaluate_alive_level, evaluate_alive_parallel  # noqa: F401
 from .checkpoint import CheckpointStore
 from .config import PCloudsConfig
 from .dataset import DistributedDataset
 from .small_tasks import SmallTask, process_small_tasks
-from .stats_exchange import exchange_level_stats, exchange_node_stats
+from .stats_exchange import exchange_level_stats, exchange_node_stats  # noqa: F401
 from .switching import auto_q_switch
 
 __all__ = ["PClouds", "PCloudsResult", "apportion_sample", "fit_tree_program"]
@@ -257,7 +261,6 @@ class PClouds:
                     "n_ranks": dataset.n_ranks,
                     "seed": seed,
                     "exchange": self.config.exchange,
-                    "frontier_batching": self.config.frontier_batching,
                     "q_switch": self.config.q_switch,
                     "restarts": restarts,
                     "elapsed_s": run.elapsed + failed_time,
@@ -576,97 +579,25 @@ def fit_tree_program(
                 ctx, store, f"level-{level}", level,
                 frontier, small, nodes, survival, n_large,
             )
-        this_level = level
         if ctx.observers:
             # live bytes at level start feed the I/O-amplification
             # indicator; checkpoint traffic (above) stays outside the level
             ctx.notify(
                 "begin_level",
-                this_level,
+                level,
                 len(frontier),
                 sum(t.columnset.nbytes for t in frontier),
             )
         survival_mark = len(survival)
-        if config.frontier_batching == "level":
-            frontier, n_processed = _process_level(
-                ctx, frontier, schema, config, stopping, q_switch,
-                n_total, nodes, small, survival,
-            )
-            n_large += n_processed
-            level += 1
-            if ctx.observers:
-                ctx.notify("on_survival", this_level, survival[survival_mark:])
-                ctx.notify("end_level")
-            continue
-        next_frontier: list[_LargeTask] = []
-        for t in frontier:
-            n = int(t.counts.sum())
-
-            if stopping.is_leaf(t.counts, t.depth):
-                nodes[t.node_id] = {
-                    "kind": "leaf", "counts": t.counts, "depth": t.depth
-                }
-                t.columnset.delete()
-                continue
-
-            q = scale_q(cfg.q_root, n, n_total)
-            if q <= q_switch:
-                nodes[t.node_id] = {
-                    "kind": "small", "counts": t.counts, "depth": t.depth
-                }
-                small.append(
-                    SmallTask(
-                        node_id=t.node_id,
-                        depth=t.depth,
-                        n_global=n,
-                        class_counts=t.counts,
-                        columnset=t.columnset,
-                    )
-                )
-                continue
-
-            n_large += 1
-            split, left_counts, ratio, left_cs, right_cs = _process_large_node(
-                ctx, t, schema, config, q
-            )
-            survival.append(ratio)
-            if split is None:
-                nodes[t.node_id] = {
-                    "kind": "leaf", "counts": t.counts, "depth": t.depth
-                }
-                continue
-            nodes[t.node_id] = {
-                "kind": "internal",
-                "split": split,
-                "counts": t.counts,
-                "depth": t.depth,
-            }
-            smask = split.goes_left(t.sample_cols[split.attribute])
-            next_frontier.append(
-                _LargeTask(
-                    node_id=2 * t.node_id + 1,
-                    depth=t.depth + 1,
-                    columnset=left_cs,
-                    sample_cols={k: v[smask] for k, v in t.sample_cols.items()},
-                    sample_labels=t.sample_labels[smask],
-                    counts=left_counts,
-                )
-            )
-            next_frontier.append(
-                _LargeTask(
-                    node_id=2 * t.node_id + 2,
-                    depth=t.depth + 1,
-                    columnset=right_cs,
-                    sample_cols={k: v[~smask] for k, v in t.sample_cols.items()},
-                    sample_labels=t.sample_labels[~smask],
-                    counts=t.counts - left_counts,
-                )
-            )
-        frontier = next_frontier
-        level += 1
+        frontier, n_processed = _process_level(
+            ctx, frontier, schema, config, stopping, q_switch,
+            n_total, nodes, small, survival,
+        )
+        n_large += n_processed
         if ctx.observers:
-            ctx.notify("on_survival", this_level, survival[survival_mark:])
+            ctx.notify("on_survival", level, survival[survival_mark:])
             ctx.notify("end_level")
+        level += 1
 
     # one last checkpoint so a crash in the small-node phase does not
     # rewind into the frontier levels
@@ -697,54 +628,6 @@ def fit_tree_program(
     }
 
 
-def _process_large_node(
-    ctx: RankContext,
-    t: _LargeTask,
-    schema: Schema,
-    config: PCloudsConfig,
-    q: int,
-) -> tuple[Split | None, np.ndarray | None, float, ColumnSet | None, ColumnSet | None]:
-    """Steps 1-3 of Section 5 for one large node. Returns ``(split,
-    global left counts, survival ratio, left child fragment, right child
-    fragment)``; the split is None when the node becomes a leaf."""
-    cfg = config.clouds
-    n = int(t.counts.sum())
-
-    ctx.timer.start("stats")
-    bounds = node_boundaries(schema, t.sample_cols, q)
-    access = open_node(ctx, t.columnset, schema)
-    local_stats = access.stats_pass(bounds)
-    boundary_split, alive = exchange_node_stats(
-        ctx, schema, local_stats, t.counts, config
-    )
-
-    ctx.timer.start("alive")
-    ratio = sum(iv.count for iv in alive) / max(n, 1)
-    split = evaluate_alive_parallel(
-        ctx, access, alive, t.counts, schema, boundary_split
-    )
-
-    parent_gini = float(gini_from_counts(t.counts))
-    if split is None or split.gini >= parent_gini:
-        ctx.timer.stop()
-        t.columnset.delete()
-        return None, None, ratio, None, None
-
-    ctx.timer.start("partition")
-    left_cs, right_cs, local_left = access.partition(split)
-    t.columnset.delete()
-    left_counts = ctx.comm.allreduce(local_left)
-    ctx.timer.stop()
-    right_counts = t.counts - left_counts
-    if left_counts.sum() == 0 or right_counts.sum() == 0:
-        # globally degenerate split (cannot happen via the gini machinery,
-        # but a malformed custom config should not corrupt the tree)
-        left_cs.delete()
-        right_cs.delete()
-        return None, None, ratio, None, None
-    return split, left_counts, ratio, left_cs, right_cs
-
-
 def _process_level(
     ctx: RankContext,
     frontier: list[_LargeTask],
@@ -757,22 +640,14 @@ def _process_level(
     small: list[SmallTask],
     survival: list[float],
 ) -> tuple[list[_LargeTask], int]:
-    """One frontier level under ``frontier_batching="level"``: the same
-    stats → alive → partition cycle as :func:`_process_large_node`, but
-    fused across every large node of the level, so the collectives per
-    level are **one** stats alltoall, **one** k-way boundary election,
-    **one** alive allgather, **one** member alltoall, **one** k-way
-    interior election and **one** allreduce of the stacked per-node
-    left-count matrix — constant in the frontier width. The produced
-    tree is bit-identical to the per-node driver's (same combines, same
-    tie-break keys, same partitions).
+    """One frontier level: leaves and small nodes peel off, and the large
+    nodes run steps 1-3 of Section 5 in consecutive pool-sized batches
+    (:func:`_pool_batches`, :func:`_process_batch`).
 
-    Mutates ``nodes``/``small``/``survival`` exactly as the per-node
-    loop does and returns ``(next_frontier, n_large_processed)``.
+    Mutates ``nodes``/``small``/``survival`` in frontier order and
+    returns ``(next_frontier, n_large_processed)``.
     """
     cfg = config.clouds
-
-    # classify the level: leaves and small nodes peel off, large remain
     large: list[_LargeTask] = []
     qs: list[int] = []
     for t in frontier:
@@ -800,67 +675,129 @@ def _process_level(
             continue
         large.append(t)
         qs.append(q)
+    next_frontier: list[_LargeTask] = []
+    for lo, hi in _pool_batches(ctx, large, schema):
+        next_frontier += _process_batch(
+            ctx, large[lo:hi], qs[lo:hi], schema, config, nodes, survival
+        )
+    return next_frontier, len(large)
+
+
+def _pool_batches(
+    ctx: RankContext, large: list[_LargeTask], schema: Schema
+) -> list[tuple[int, int]]:
+    """Cut a level's large nodes into consecutive ``[lo, hi)`` batches
+    whose estimated per-rank bytes fit the rank's buffer pool together.
+
+    A node's estimate is ``ceil(n / p)`` rows, from the global class
+    counts every rank holds, so every rank cuts the same batches without
+    a collective. A batch closes when the next node would push its total
+    over the pool capacity; a node the pool cannot share with another
+    node is a batch of one. Without a pool the whole level is one batch.
+    """
     if not large:
-        return [], 0
-    counts_list = [t.counts for t in large]
+        return []
+    pool = ctx.disk.pool
+    if pool is None:
+        return [(0, len(large))]
+    row = schema.row_nbytes()
+    cuts: list[tuple[int, int]] = []
+    lo, held = 0, 0
+    for i, t in enumerate(large):
+        nbytes = -(-int(t.counts.sum()) // ctx.size) * row
+        if i > lo and held + nbytes > pool.capacity:
+            cuts.append((lo, i))
+            lo, held = i, 0
+        held += nbytes
+    cuts.append((lo, len(large)))
+    return cuts
 
-    # (1) every node's local stats pass back-to-back, then one batched
-    # exchange for the whole level
-    ctx.timer.start("stats")
+
+def _process_batch(
+    ctx: RankContext,
+    batch: list[_LargeTask],
+    qs: list[int],
+    schema: Schema,
+    config: PCloudsConfig,
+    nodes: dict[int, dict],
+    survival: list[float],
+) -> list[_LargeTask]:
+    """Steps 1-3 of Section 5, fused across a batch of large nodes: the
+    collectives are **one** stats alltoall, **one** k-way boundary
+    election, **one** alive allgather, **one** member alltoall, **one**
+    k-way interior election and **one** allreduce of the stacked per-node
+    left-count matrix — constant in the batch size. A node's split does
+    not depend on which nodes share its batch (same combines, same
+    tie-break keys, same partitions), so the tree does not either.
+
+    Returns the children of the batch's split nodes, in batch order.
+    """
+    counts_list = [t.counts for t in batch]
     accesses = []
-    locals_list = []
-    for t, q in zip(large, qs):
-        bounds = node_boundaries(schema, t.sample_cols, q)
-        access = open_node(ctx, t.columnset, schema)
-        locals_list.append(access.stats_pass(bounds))
-        accesses.append(access)
-    exchanged = exchange_level_stats(
-        ctx, schema, locals_list, counts_list, config
-    )
-    boundary_splits = [s for s, _ in exchanged]
-    alive_lists = [a for _, a in exchanged]
+    try:
+        # (1) every node's local stats pass back-to-back, then one
+        # batched exchange
+        ctx.timer.start("stats")
+        locals_list = []
+        for t, q in zip(batch, qs):
+            bounds = node_boundaries(schema, t.sample_cols, q)
+            access = open_node(ctx, t.columnset, schema)
+            accesses.append(access)
+            locals_list.append(access.stats_pass(bounds))
+        exchanged = exchange_level_stats(
+            ctx, schema, locals_list, counts_list, config
+        )
+        boundary_splits = [s for s, _ in exchanged]
+        alive_lists = [a for _, a in exchanged]
 
-    # (2) alive evaluation over the global (node, interval) pool
-    ctx.timer.start("alive")
-    for t, alive in zip(large, alive_lists):
-        survival.append(sum(iv.count for iv in alive) / max(int(t.counts.sum()), 1))
-    splits = evaluate_alive_level(
-        ctx, accesses, alive_lists, counts_list, schema, boundary_splits
-    )
-    for idx, t in enumerate(large):
-        if splits[idx] is not None and splits[idx].gini >= float(
-            gini_from_counts(t.counts)
-        ):
-            splits[idx] = None
-    splitting = [idx for idx in range(len(large)) if splits[idx] is not None]
+        # (2) alive evaluation over the batch's (node, interval) pool
+        ctx.timer.start("alive")
+        for t, alive in zip(batch, alive_lists):
+            survival.append(
+                sum(iv.count for iv in alive) / max(int(t.counts.sum()), 1)
+            )
+        splits = evaluate_alive_level(
+            ctx, accesses, alive_lists, counts_list, schema, boundary_splits
+        )
+        for idx, t in enumerate(batch):
+            if splits[idx] is not None and splits[idx].gini >= float(
+                gini_from_counts(t.counts)
+            ):
+                splits[idx] = None
+        splitting = [idx for idx in range(len(batch)) if splits[idx] is not None]
 
-    # (3) all partition passes locally, closed by one allreduce of the
-    # stacked per-node left-count matrix (skipped when the whole level
-    # went leaf — every rank agrees, the splits are replicated)
-    children: dict[int, tuple[ColumnSet, ColumnSet]] = {}
-    left_matrix = None
-    if splitting:
-        ctx.timer.start("partition")
-        locals_left = []
-        for idx in splitting:
-            left_cs, right_cs, local_left = accesses[idx].partition(splits[idx])
-            large[idx].columnset.delete()
-            children[idx] = (left_cs, right_cs)
-            locals_left.append(local_left)
-        left_matrix = ctx.comm.allreduce(np.stack(locals_left))
-    ctx.timer.stop()
-    for access in accesses:
-        access.release()
+        # (3) all partition passes locally, closed by one allreduce of the
+        # stacked per-node left-count matrix (skipped when the whole batch
+        # went leaf — every rank agrees, the splits are replicated)
+        children: dict[int, tuple[ColumnSet, ColumnSet]] = {}
+        left_matrix = None
+        if splitting:
+            ctx.timer.start("partition")
+            locals_left = []
+            for idx in splitting:
+                left_cs, right_cs, local_left = accesses[idx].partition(
+                    splits[idx]
+                )
+                batch[idx].columnset.delete()
+                children[idx] = (left_cs, right_cs)
+                locals_left.append(local_left)
+            left_matrix = ctx.comm.allreduce(np.stack(locals_left))
+        ctx.timer.stop()
+    finally:
+        for access in accesses:
+            access.release()
 
-    # bookkeeping in frontier order, as the per-node loop emits it
     row = {idx: r for r, idx in enumerate(splitting)}
     next_frontier: list[_LargeTask] = []
-    for idx, t in enumerate(large):
+    for idx, t in enumerate(batch):
         split = splits[idx]
         if split is not None:
             left_counts = left_matrix[row[idx]]
             right_counts = t.counts - left_counts
             if left_counts.sum() == 0 or right_counts.sum() == 0:
+                # globally degenerate split (cannot happen via the gini
+                # machinery, but a malformed custom config should not
+                # corrupt the tree)
                 children[idx][0].delete()
                 children[idx][1].delete()
                 split = None
@@ -898,7 +835,7 @@ def _process_level(
                 counts=t.counts - left_counts,
             )
         )
-    return next_frontier, len(large)
+    return next_frontier
 
 
 # -- tree assembly -------------------------------------------------------------

@@ -38,6 +38,11 @@ exact strategies to O(q·c·k). Voting is an **approximation**: a
 globally best attribute that no rank nominated cannot win. With
 ``vote_top_k >= n_attributes`` every attribute is elected and the
 result is bit-identical to ``exchange="attribute"``.
+
+Every strategy exchanges a *batch* of large nodes in one set of
+collectives (:func:`exchange_level_stats`); the driver cuts each frontier
+level into batches sized to the buffer pool. A batch of one
+(:func:`exchange_node_stats`) is the paper's per-node exchange.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from repro.cluster.comm import payload_nbytes
 from repro.cluster.machine import RankContext
 from repro.clouds.gini import best_categorical_split, boundary_sweep
 from repro.clouds.nodestats import NodeStats, NumericStats
-from repro.clouds.splits import CATEGORICAL_SPLIT, NUMERIC_SPLIT, Split
+from repro.clouds.splits import CATEGORICAL_SPLIT, NUMERIC_SPLIT, Split, better
 from repro.clouds.sse import AliveInterval, determine_alive_intervals
 from repro.data.schema import Attribute, Schema
 
@@ -122,6 +127,41 @@ def _best_block_boundary_split(
     )
 
 
+# -- the batched exchange -----------------------------------------------------
+
+
+def exchange_level_stats(
+    ctx: RankContext,
+    schema: Schema,
+    locals_list: list[NodeStats],
+    counts_list: list[np.ndarray],
+    config: PCloudsConfig,
+) -> list[tuple[Split | None, list[AliveInterval]]]:
+    """Turn per-processor statistics of a *batch* of large nodes into each
+    node's gini_min splitter and (for SSE) its alive-interval list,
+    replicated on every rank. All nodes' statistics travel in **one**
+    alltoall, the per-node minima are elected in **one** k-way
+    min-reduction, and (for SSE) all nodes' alive statuses replicate in
+    **one** allgather — so the collective count is constant in the batch
+    size.
+
+    Every rank must call this with the same batch, each node's statistics
+    built over the *same* interval boundaries on every rank. Returns one
+    ``(split, alive)`` pair per node, in batch order; a node's result does
+    not depend on which other nodes share its batch.
+    """
+    if not locals_list:
+        return []
+    ctx.notify("on_stats_exchange", config.exchange, len(locals_list))
+    if config.exchange == "attribute":
+        return _exchange_attribute(ctx, schema, locals_list, counts_list, config)
+    if config.exchange == "distributed":
+        return _exchange_distributed(ctx, schema, locals_list, counts_list, config)
+    if config.exchange == "voting":
+        return _exchange_voting(ctx, schema, locals_list, counts_list, config)
+    return _exchange_allreduce(ctx, schema, locals_list, counts_list, config)
+
+
 def exchange_node_stats(
     ctx: RankContext,
     schema: Schema,
@@ -129,51 +169,38 @@ def exchange_node_stats(
     total_counts: np.ndarray,
     config: PCloudsConfig,
 ) -> tuple[Split | None, list[AliveInterval]]:
-    """Turn per-processor statistics into the node's gini_min splitter and
-    (for SSE) the alive-interval list, replicated on every rank.
-
-    Every rank must call this once per large node with statistics built
-    over the *same* interval boundaries.
-    """
-    ctx.notify("on_stats_exchange", config.exchange, 1)
-    if config.exchange == "attribute":
-        return _exchange_attribute_based(ctx, schema, local, total_counts, config)
-    if config.exchange == "distributed":
-        return _exchange_distributed(ctx, schema, local, total_counts, config)
-    if config.exchange == "voting":
-        return _exchange_voting(ctx, schema, local, total_counts, config)
-    return _exchange_allreduce(ctx, schema, local, total_counts, config)
+    """:func:`exchange_level_stats` over a batch of one node."""
+    return exchange_level_stats(ctx, schema, [local], [total_counts], config)[0]
 
 
-# -- attribute-based approach (the paper's choice) -----------------------
-
-
-def _exchange_attribute_based(
+def _exchange_attribute(
     ctx: RankContext,
     schema: Schema,
-    local: NodeStats,
-    total_counts: np.ndarray,
+    locals_list: list[NodeStats],
+    counts_list: list[np.ndarray],
     config: PCloudsConfig,
-    attrs: Sequence[Attribute] | None = None,
-) -> tuple[Split | None, list[AliveInterval]]:
-    """``attrs`` restricts the exchange to a candidate subset (the voting
-    path passes its elected attributes, in schema order); ``None`` means
-    the full schema, which is the exact attribute-based method."""
+    attrs_list: list[Sequence[Attribute]] | None = None,
+) -> list[tuple[Split | None, list[AliveInterval]]]:
+    """``attrs_list`` restricts each node's exchange to its own elected
+    candidate subset (the voting path); ``None`` exchanges the full
+    schema for every node — the exact attribute-based method."""
     comm = ctx.comm
     size, rank = comm.size, comm.rank
     c = schema.n_classes
-    attrs = list(schema.attributes) if attrs is None else list(attrs)
+    k = len(locals_list)
+    if attrs_list is None:
+        attrs_list = [list(schema.attributes)] * k
 
-    # ship each attribute's local vectors to its owner (numeric attributes
-    # carry their per-interval value ranges alongside the histograms)
-    parts: list[dict[str, object]] = [dict() for _ in range(size)]
-    for i, a in enumerate(attrs):
-        dest = attribute_owner(i, size)
-        if a.is_numeric:
-            ns = local.numeric[a.name]
-            parts[dest][a.name] = (ns.hist, ns.vmin, ns.vmax)
-        else:
-            parts[dest][a.name] = local.categorical[a.name]
+    # one alltoall ships every node's local vectors, keyed (node, attr)
+    parts: list[dict[tuple[int, str], object]] = [dict() for _ in range(size)]
+    for j, local in enumerate(locals_list):
+        for i, a in enumerate(attrs_list[j]):
+            dest = attribute_owner(i, size)
+            if a.is_numeric:
+                ns = local.numeric[a.name]
+                parts[dest][(j, a.name)] = (ns.hist, ns.vmin, ns.vmax)
+            else:
+                parts[dest][(j, a.name)] = local.categorical[a.name]
     if ctx.observers:
         ctx.notify(
             "on_exchange_payload",
@@ -182,78 +209,91 @@ def _exchange_attribute_based(
         )
     incoming = comm.alltoall(parts)
 
-    # owner: combine, sweep, keep the best candidate per owned attribute
-    owned = _owned_attributes(attrs, rank, size)
-    global_num: dict[str, NumericStats] = {}
-    best_local: Split | None = None
-    for name in owned:
-        attr = schema.attribute(name)
-        if attr.is_numeric:
-            combined = incoming[0][name][0].copy()
-            vmin = incoming[0][name][1].copy()
-            vmax = incoming[0][name][2].copy()
-            for piece in incoming[1:]:
-                combined += piece[name][0]
-                np.minimum(vmin, piece[name][1], out=vmin)
-                np.maximum(vmax, piece[name][2], out=vmax)
-            ctx.charge_compute(ops=combined.size * size)
-            bounds = local.numeric[name].boundaries
-            global_num[name] = NumericStats(
-                boundaries=bounds, hist=combined, vmin=vmin, vmax=vmax
-            )
-            ctx.charge_compute(ops=3 * combined.size)  # prefix sum + gini sweep
-            cand = _best_boundary_split_of(name, bounds, combined, total_counts)
-        else:
-            combined = incoming[0][name].copy()
-            for piece in incoming[1:]:
-                combined += piece[name]
-            ctx.charge_compute(ops=combined.size * size)
-            res = best_categorical_split(combined, config.clouds.enumerate_limit)
-            ctx.charge_compute(ops=combined.size * attr.cardinality)
-            cand = (
-                Split(
-                    attribute=name,
-                    kind=CATEGORICAL_SPLIT,
-                    gini=res[0],
-                    left_codes=res[1],
+    # owner: combine and sweep per (node, owned attribute); exact gini
+    # ties go to the smaller order key, as in the sequential sweep
+    global_num: list[dict[str, NumericStats]] = [dict() for _ in range(k)]
+    best_local: list[Split | None] = [None] * k
+    for j in range(k):
+        local = locals_list[j]
+        for name in _owned_attributes(attrs_list[j], rank, size):
+            attr = schema.attribute(name)
+            if attr.is_numeric:
+                combined = incoming[0][(j, name)][0].copy()
+                vmin = incoming[0][(j, name)][1].copy()
+                vmax = incoming[0][(j, name)][2].copy()
+                for piece in incoming[1:]:
+                    combined += piece[(j, name)][0]
+                    np.minimum(vmin, piece[(j, name)][1], out=vmin)
+                    np.maximum(vmax, piece[(j, name)][2], out=vmax)
+                ctx.charge_compute(ops=combined.size * size)
+                bounds = local.numeric[name].boundaries
+                global_num[j][name] = NumericStats(
+                    boundaries=bounds, hist=combined, vmin=vmin, vmax=vmax
                 )
-                if res is not None
-                else None
-            )
-        if cand is not None and (best_local is None or cand.gini < best_local.gini):
-            best_local = cand
+                ctx.charge_compute(ops=3 * combined.size)
+                cand = _best_boundary_split_of(
+                    name, bounds, combined, counts_list[j]
+                )
+            else:
+                combined = incoming[0][(j, name)].copy()
+                for piece in incoming[1:]:
+                    combined += piece[(j, name)]
+                ctx.charge_compute(ops=combined.size * size)
+                res = best_categorical_split(
+                    combined, config.clouds.enumerate_limit
+                )
+                ctx.charge_compute(ops=combined.size * attr.cardinality)
+                cand = (
+                    Split(
+                        attribute=name,
+                        kind=CATEGORICAL_SPLIT,
+                        gini=res[0],
+                        left_codes=res[1],
+                    )
+                    if res is not None
+                    else None
+                )
+            best_local[j] = better(best_local[j], cand)
 
-    # elect gini_min across processors (ties by the split's order key, so
-    # the winner matches what a sequential sweep over all attributes picks)
-    value = best_local.gini if best_local is not None else float("inf")
-    gini_min, split, _ = comm.allreduce_minloc(
-        value,
+    # one batched min-election over all k nodes
+    elected = comm.allreduce_minloc_many(
+        [s.gini if s is not None else float("inf") for s in best_local],
         best_local,
-        tiebreak=best_local.order_key() if best_local is not None else None,
+        tiebreaks=[
+            s.order_key() if s is not None else None for s in best_local
+        ],
     )
-    if split is None:
-        return None, []
-
+    splits = [e[1] for e in elected]
     if config.clouds.method != "sse":
-        return split, []
+        return [(s, []) for s in splits]
 
-    # owners determine alive intervals among their (global) intervals ...
-    my_alive: list[AliveInterval] = []
-    for name, ns in global_num.items():
-        stats_one = NodeStats(
-            total=np.asarray(total_counts, dtype=np.int64),
-            numeric={name: ns},
-        )
-        one_schema = Schema(
-            attributes=(schema.attribute(name),), n_classes=c
-        )
-        my_alive.extend(determine_alive_intervals(stats_one, one_schema, gini_min))
-        ctx.charge_compute(ops=ns.hist.shape[0] * c * (2 ** min(c, 16)))
-    # ... and the statuses are broadcast to all processors (cost ∝ qc)
-    gathered = ctx.comm.allgather(_encode_alive(my_alive))
-    alive = [iv for chunk in gathered for iv in _decode_alive(chunk)]
-    alive.sort(key=lambda iv: (iv.attribute, iv.index))
-    return split, alive
+    # owners determine alive intervals for every node whose split exists;
+    # one allgather replicates all statuses, tagged by node index
+    active = [j for j in range(k) if splits[j] is not None]
+    if not active:
+        return [(s, []) for s in splits]
+    my_alive: list[tuple[int, tuple]] = []
+    for j in active:
+        gini_min = elected[j][0]
+        for name, ns in global_num[j].items():
+            stats_one = NodeStats(
+                total=np.asarray(counts_list[j], dtype=np.int64),
+                numeric={name: ns},
+            )
+            one_schema = Schema(
+                attributes=(schema.attribute(name),), n_classes=c
+            )
+            found = determine_alive_intervals(stats_one, one_schema, gini_min)
+            ctx.charge_compute(ops=ns.hist.shape[0] * c * (2 ** min(c, 16)))
+            my_alive.extend((j, enc) for enc in _encode_alive(found))
+    gathered = ctx.comm.allgather(my_alive)
+    alive_by_node: list[list[AliveInterval]] = [[] for _ in range(k)]
+    for chunk in gathered:
+        for j, enc in chunk:
+            alive_by_node[j].extend(_decode_alive([enc]))
+    for lst in alive_by_node:
+        lst.sort(key=lambda iv: (iv.attribute, iv.index))
+    return [(splits[j], alive_by_node[j]) for j in range(k)]
 
 
 # -- top-k voting method (PV-Tree-style approximation) --------------------
@@ -326,447 +366,14 @@ def _elect_candidates(
 def _exchange_voting(
     ctx: RankContext,
     schema: Schema,
-    local: NodeStats,
-    total_counts: np.ndarray,
-    config: PCloudsConfig,
-) -> tuple[Split | None, list[AliveInterval]]:
-    """Nominate → vote → exchange only the elected candidates through
-    the attribute-owner machinery."""
-    comm = ctx.comm
-    ballot = _nominate(ctx, schema, local, config)
-    if ctx.observers:
-        ctx.notify(
-            "on_exchange_payload",
-            config.exchange,
-            payload_nbytes(ballot) * (comm.size - 1),
-        )
-    ballots = comm.vote(ballot)
-    elected = _elect_candidates(
-        ballots, len(schema.attributes), config.vote_top_k
-    )
-    attrs = [schema.attributes[i] for i in elected]
-    if ctx.observers:
-        ctx.notify("on_vote_election", (tuple(a.name for a in attrs),))
-    return _exchange_attribute_based(
-        ctx, schema, local, total_counts, config, attrs=attrs
-    )
-
-
-# -- distributed method (interval-granular RAW ownership) -----------------
-
-
-def _interval_block(q: int, size: int, rank: int) -> tuple[int, int]:
-    """Contiguous block of interval indices owned by ``rank`` (contiguity
-    is what lets one prefix sum recover the cumulative counts)."""
-    return rank * q // size, (rank + 1) * q // size
-
-
-def _exchange_distributed(
-    ctx: RankContext,
-    schema: Schema,
-    local: NodeStats,
-    total_counts: np.ndarray,
-    config: PCloudsConfig,
-) -> tuple[Split | None, list[AliveInterval]]:
-    comm = ctx.comm
-    size, rank = comm.size, comm.rank
-    c = schema.n_classes
-    num_names = [a.name for a in schema.numeric]
-
-    # route each attribute's interval rows to the interval-block owners;
-    # categorical matrices keep attribute-based ownership (they are small)
-    parts: list[dict] = [{"num": {}, "cat": {}} for _ in range(size)]
-    for ai, a in enumerate(schema.attributes):
-        if a.is_numeric:
-            ns = local.numeric[a.name]
-            q = ns.n_intervals
-            for d in range(size):
-                lo, hi = _interval_block(q, size, d)
-                if lo < hi:
-                    parts[d]["num"][a.name] = (
-                        lo, ns.hist[lo:hi], ns.vmin[lo:hi], ns.vmax[lo:hi]
-                    )
-        else:
-            parts[attribute_owner(ai, size)]["cat"][a.name] = (
-                local.categorical[a.name]
-            )
-    if ctx.observers:
-        ctx.notify(
-            "on_exchange_payload",
-            config.exchange,
-            sum(payload_nbytes(parts[d]) for d in range(size) if d != rank),
-        )
-    incoming = comm.alltoall(parts)
-
-    # combine this rank's interval block per attribute
-    blocks: dict[str, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
-    for name in num_names:
-        pieces = [src["num"][name] for src in incoming if name in src["num"]]
-        if not pieces:
-            continue
-        lo = pieces[0][0]
-        hist = pieces[0][1].copy()
-        vmin = pieces[0][2].copy()
-        vmax = pieces[0][3].copy()
-        for piece in pieces[1:]:
-            hist += piece[1]
-            np.minimum(vmin, piece[2], out=vmin)
-            np.maximum(vmax, piece[3], out=vmax)
-        blocks[name] = (lo, hist, vmin, vmax)
-        ctx.charge_compute(ops=hist.size * size)
-
-    # one parallel prefix sum recovers each block's base cumulative counts
-    totals = np.stack(
-        [
-            blocks[n][1].sum(axis=0) if n in blocks else np.zeros(c, np.int64)
-            for n in num_names
-        ]
-    ) if num_names else np.zeros((0, c), dtype=np.int64)
-    inclusive = comm.scan(totals)
-    base = {
-        n: inclusive[i] - totals[i] for i, n in enumerate(num_names)
-    }
-
-    # boundary sweep over the owned block of every attribute
-    best_local: Split | None = None
-    for name, (lo, hist, vmin, vmax) in blocks.items():
-        bounds = local.numeric[name].boundaries
-        cum = base[name][None, :] + np.cumsum(hist, axis=0)
-        ctx.charge_compute(ops=3 * hist.size)
-        cand = _best_block_boundary_split(name, bounds, lo, cum, total_counts)
-        if (
-            cand is not None
-            and (
-                best_local is None
-                or cand.gini < best_local.gini
-                or (cand.gini == best_local.gini
-                    and cand.order_key() < best_local.order_key())
-            )
-        ):
-            best_local = cand
-
-    # categorical candidates at their attribute owners
-    for name, matrix_pieces in (
-        (n, [src["cat"][n] for src in incoming if n in src["cat"]])
-        for n in (a.name for a in schema.categorical)
-    ):
-        if not matrix_pieces:
-            continue
-        combined = matrix_pieces[0].copy()
-        for piece in matrix_pieces[1:]:
-            combined += piece
-        ctx.charge_compute(ops=combined.size * size)
-        res = best_categorical_split(combined, config.clouds.enumerate_limit)
-        if res is not None:
-            cand = Split(
-                attribute=name, kind=CATEGORICAL_SPLIT, gini=res[0],
-                left_codes=res[1],
-            )
-            if (
-                best_local is None
-                or cand.gini < best_local.gini
-                or (cand.gini == best_local.gini
-                    and cand.order_key() < best_local.order_key())
-            ):
-                best_local = cand
-
-    value = best_local.gini if best_local is not None else float("inf")
-    gini_min, split, _ = comm.allreduce_minloc(
-        value,
-        best_local,
-        tiebreak=best_local.order_key() if best_local is not None else None,
-    )
-    if split is None:
-        return None, []
-    if config.clouds.method != "sse":
-        return split, []
-
-    # alive determination directly at the interval owners
-    from repro.clouds.gini import gini_lower_bound
-
-    my_alive: list[AliveInterval] = []
-    for name, (lo, hist, vmin, vmax) in blocks.items():
-        bounds = local.numeric[name].boundaries
-        cum = base[name][None, :] + np.cumsum(hist, axis=0)
-        left = cum - hist
-        ctx.charge_compute(
-            ops=hist.shape[0] * c * (2 ** min(c, 16))
-        )
-        for i in range(hist.shape[0]):
-            count = int(hist[i].sum())
-            if count < 2 or not vmin[i] < vmax[i]:
-                continue
-            est = gini_lower_bound(
-                left[i].astype(np.float64),
-                hist[i].astype(np.float64),
-                np.asarray(total_counts, dtype=np.float64),
-            )
-            if est < gini_min:
-                idx = lo + i
-                my_alive.append(
-                    AliveInterval(
-                        attribute=name,
-                        index=idx,
-                        lo=float(bounds[idx - 1]) if idx > 0 else -np.inf,
-                        hi=float(bounds[idx]) if idx < len(bounds) else np.inf,
-                        left_cum=left[i].astype(np.float64),
-                        count=count,
-                        gini_est=float(est),
-                    )
-                )
-    gathered = comm.allgather(_encode_alive(my_alive))
-    alive = [iv for chunk in gathered for iv in _decode_alive(chunk)]
-    alive.sort(key=lambda iv: (iv.attribute, iv.index))
-    return split, alive
-
-
-# -- naive full replication (ablation) ------------------------------------
-
-
-def _merge_stat_dicts(a: dict, b: dict) -> dict:
-    """Elementwise combine: histograms/count matrices add; the numeric
-    (hist, vmin, vmax) triples add/min/max."""
-    out = {}
-    for k in a:
-        if isinstance(a[k], tuple):
-            out[k] = (
-                a[k][0] + b[k][0],
-                np.minimum(a[k][1], b[k][1]),
-                np.maximum(a[k][2], b[k][2]),
-            )
-        else:
-            out[k] = a[k] + b[k]
-    return out
-
-
-def _exchange_allreduce(
-    ctx: RankContext,
-    schema: Schema,
-    local: NodeStats,
-    total_counts: np.ndarray,
-    config: PCloudsConfig,
-) -> tuple[Split | None, list[AliveInterval]]:
-    from repro.clouds.ss import find_split_ss
-
-    payload = {}
-    for a in schema.attributes:
-        if a.is_numeric:
-            ns = local.numeric[a.name]
-            payload[a.name] = (ns.hist, ns.vmin, ns.vmax)
-        else:
-            payload[a.name] = local.categorical[a.name]
-    if ctx.observers:
-        ctx.notify("on_exchange_payload", config.exchange, payload_nbytes(payload))
-    combined = ctx.comm.allreduce(payload, op=_merge_stat_dicts)
-    ctx.charge_compute(
-        ops=sum(
-            (v[0].size if isinstance(v, tuple) else v.size)
-            for v in combined.values()
-        )
-        * np.log2(max(ctx.comm.size, 2))
-    )
-    stats = NodeStats(total=np.asarray(total_counts, dtype=np.int64))
-    for a in schema.attributes:
-        if a.is_numeric:
-            hist, vmin, vmax = combined[a.name]
-            stats.numeric[a.name] = NumericStats(
-                boundaries=local.numeric[a.name].boundaries,
-                hist=hist,
-                vmin=vmin,
-                vmax=vmax,
-            )
-        else:
-            stats.categorical[a.name] = combined[a.name]
-    split = find_split_ss(stats, schema, config.clouds.enumerate_limit)
-    q_total = sum(ns.n_intervals for ns in stats.numeric.values())
-    ctx.charge_compute(ops=3 * q_total * schema.n_classes)
-    if split is None:
-        return None, []
-    if config.clouds.method != "sse":
-        return split, []
-    alive = determine_alive_intervals(stats, schema, split.gini)
-    ctx.charge_compute(
-        ops=q_total * schema.n_classes * (2 ** min(schema.n_classes, 16))
-    )
-    alive.sort(key=lambda iv: (iv.attribute, iv.index))  # same order as the
-    return split, alive  # attribute-based path, so downstream LPT agrees
-
-
-# -- level-batched exchange (frontier_batching="level") -----------------------
-
-
-def exchange_level_stats(
-    ctx: RankContext,
-    schema: Schema,
     locals_list: list[NodeStats],
     counts_list: list[np.ndarray],
     config: PCloudsConfig,
 ) -> list[tuple[Split | None, list[AliveInterval]]]:
-    """Batched :func:`exchange_node_stats` for every large node of one
-    frontier level: the same combines and sweeps, but all nodes'
-    statistics travel in **one** alltoall, the per-node minima are
-    elected in **one** k-way min-reduction, and (for SSE) all nodes'
-    alive statuses replicate in **one** allgather — so the collective
-    count per level is constant in the frontier width.
-
-    Returns one ``(split, alive)`` pair per node, in frontier order,
-    each bit-identical to what the per-node exchange produces.
-    """
-    if not locals_list:
-        return []
-    ctx.notify("on_stats_exchange", config.exchange, len(locals_list))
-    if config.exchange == "attribute":
-        return _exchange_attribute_level(
-            ctx, schema, locals_list, counts_list, config
-        )
-    if config.exchange == "distributed":
-        return _exchange_distributed_level(
-            ctx, schema, locals_list, counts_list, config
-        )
-    if config.exchange == "voting":
-        return _exchange_voting_level(
-            ctx, schema, locals_list, counts_list, config
-        )
-    return _exchange_allreduce_level(ctx, schema, locals_list, counts_list, config)
-
-
-def _exchange_attribute_level(
-    ctx: RankContext,
-    schema: Schema,
-    locals_list: list[NodeStats],
-    counts_list: list[np.ndarray],
-    config: PCloudsConfig,
-    attrs_list: list[Sequence[Attribute]] | None = None,
-) -> list[tuple[Split | None, list[AliveInterval]]]:
-    """``attrs_list`` restricts each node's exchange to its own elected
-    candidate subset (the voting path); ``None`` exchanges the full
-    schema for every node — the exact attribute-based method."""
-    comm = ctx.comm
-    size, rank = comm.size, comm.rank
-    c = schema.n_classes
-    k = len(locals_list)
-    if attrs_list is None:
-        attrs_list = [list(schema.attributes)] * k
-
-    # one alltoall ships every node's local vectors, keyed (node, attr)
-    parts: list[dict[tuple[int, str], object]] = [dict() for _ in range(size)]
-    for j, local in enumerate(locals_list):
-        for i, a in enumerate(attrs_list[j]):
-            dest = attribute_owner(i, size)
-            if a.is_numeric:
-                ns = local.numeric[a.name]
-                parts[dest][(j, a.name)] = (ns.hist, ns.vmin, ns.vmax)
-            else:
-                parts[dest][(j, a.name)] = local.categorical[a.name]
-    if ctx.observers:
-        ctx.notify(
-            "on_exchange_payload",
-            config.exchange,
-            sum(payload_nbytes(parts[d]) for d in range(size) if d != rank),
-        )
-    incoming = comm.alltoall(parts)
-
-    # owner: combine and sweep per (node, owned attribute) — identical
-    # arithmetic and tie behavior to the per-node exchange
-    global_num: list[dict[str, NumericStats]] = [dict() for _ in range(k)]
-    best_local: list[Split | None] = [None] * k
-    for j in range(k):
-        local = locals_list[j]
-        for name in _owned_attributes(attrs_list[j], rank, size):
-            attr = schema.attribute(name)
-            if attr.is_numeric:
-                combined = incoming[0][(j, name)][0].copy()
-                vmin = incoming[0][(j, name)][1].copy()
-                vmax = incoming[0][(j, name)][2].copy()
-                for piece in incoming[1:]:
-                    combined += piece[(j, name)][0]
-                    np.minimum(vmin, piece[(j, name)][1], out=vmin)
-                    np.maximum(vmax, piece[(j, name)][2], out=vmax)
-                ctx.charge_compute(ops=combined.size * size)
-                bounds = local.numeric[name].boundaries
-                global_num[j][name] = NumericStats(
-                    boundaries=bounds, hist=combined, vmin=vmin, vmax=vmax
-                )
-                ctx.charge_compute(ops=3 * combined.size)
-                cand = _best_boundary_split_of(
-                    name, bounds, combined, counts_list[j]
-                )
-            else:
-                combined = incoming[0][(j, name)].copy()
-                for piece in incoming[1:]:
-                    combined += piece[(j, name)]
-                ctx.charge_compute(ops=combined.size * size)
-                res = best_categorical_split(
-                    combined, config.clouds.enumerate_limit
-                )
-                ctx.charge_compute(ops=combined.size * attr.cardinality)
-                cand = (
-                    Split(
-                        attribute=name,
-                        kind=CATEGORICAL_SPLIT,
-                        gini=res[0],
-                        left_codes=res[1],
-                    )
-                    if res is not None
-                    else None
-                )
-            if cand is not None and (
-                best_local[j] is None or cand.gini < best_local[j].gini
-            ):
-                best_local[j] = cand
-
-    # one batched min-election over all k nodes
-    elected = comm.allreduce_minloc_many(
-        [s.gini if s is not None else float("inf") for s in best_local],
-        best_local,
-        tiebreaks=[
-            s.order_key() if s is not None else None for s in best_local
-        ],
-    )
-    splits = [e[1] for e in elected]
-    if config.clouds.method != "sse":
-        return [(s, []) for s in splits]
-
-    # owners determine alive intervals for every node whose split exists;
-    # one allgather replicates all statuses, tagged by node index
-    active = [j for j in range(k) if splits[j] is not None]
-    if not active:
-        return [(s, []) for s in splits]
-    my_alive: list[tuple[int, tuple]] = []
-    for j in active:
-        gini_min = elected[j][0]
-        for name, ns in global_num[j].items():
-            stats_one = NodeStats(
-                total=np.asarray(counts_list[j], dtype=np.int64),
-                numeric={name: ns},
-            )
-            one_schema = Schema(
-                attributes=(schema.attribute(name),), n_classes=c
-            )
-            found = determine_alive_intervals(stats_one, one_schema, gini_min)
-            ctx.charge_compute(ops=ns.hist.shape[0] * c * (2 ** min(c, 16)))
-            my_alive.extend((j, enc) for enc in _encode_alive(found))
-    gathered = ctx.comm.allgather(my_alive)
-    alive_by_node: list[list[AliveInterval]] = [[] for _ in range(k)]
-    for chunk in gathered:
-        for j, enc in chunk:
-            alive_by_node[j].extend(_decode_alive([enc]))
-    for lst in alive_by_node:
-        lst.sort(key=lambda iv: (iv.attribute, iv.index))
-    return [(splits[j], alive_by_node[j]) for j in range(k)]
-
-
-def _exchange_voting_level(
-    ctx: RankContext,
-    schema: Schema,
-    locals_list: list[NodeStats],
-    counts_list: list[np.ndarray],
-    config: PCloudsConfig,
-) -> list[tuple[Split | None, list[AliveInterval]]]:
-    """Batched voting: all frontier nodes' ballots travel in **one**
-    vote collective, each node's candidates are elected independently,
-    and one restricted batched attribute exchange follows — the
-    collective count per level stays constant in the frontier width."""
+    """Batched voting: all of the batch's ballots travel in **one** vote
+    collective, each node's candidates are elected independently, and one
+    restricted attribute exchange follows — the collective count stays
+    constant in the batch size."""
     comm = ctx.comm
     my_ballots = [
         _nominate(ctx, schema, local, config) for local in locals_list
@@ -791,12 +398,21 @@ def _exchange_voting_level(
         names_list.append(tuple(a.name for a in attrs))
     if ctx.observers:
         ctx.notify("on_vote_election", tuple(names_list))
-    return _exchange_attribute_level(
+    return _exchange_attribute(
         ctx, schema, locals_list, counts_list, config, attrs_list=attrs_list
     )
 
 
-def _exchange_distributed_level(
+# -- distributed method (interval-granular RAW ownership) -----------------
+
+
+def _interval_block(q: int, size: int, rank: int) -> tuple[int, int]:
+    """Contiguous block of interval indices owned by ``rank`` (contiguity
+    is what lets one prefix sum recover the cumulative counts)."""
+    return rank * q // size, (rank + 1) * q // size
+
+
+def _exchange_distributed(
     ctx: RankContext,
     schema: Schema,
     locals_list: list[NodeStats],
@@ -871,16 +487,7 @@ def _exchange_distributed_level(
         cum = base[(j, name)][None, :] + np.cumsum(hist, axis=0)
         ctx.charge_compute(ops=3 * hist.size)
         cand = _best_block_boundary_split(name, bounds, lo, cum, counts_list[j])
-        if (
-            cand is not None
-            and (
-                best_local[j] is None
-                or cand.gini < best_local[j].gini
-                or (cand.gini == best_local[j].gini
-                    and cand.order_key() < best_local[j].order_key())
-            )
-        ):
-            best_local[j] = cand
+        best_local[j] = better(best_local[j], cand)
     for j in range(k):
         for name in (a.name for a in schema.categorical):
             key = (j, name)
@@ -899,13 +506,7 @@ def _exchange_distributed_level(
                     attribute=name, kind=CATEGORICAL_SPLIT, gini=res[0],
                     left_codes=res[1],
                 )
-                if (
-                    best_local[j] is None
-                    or cand.gini < best_local[j].gini
-                    or (cand.gini == best_local[j].gini
-                        and cand.order_key() < best_local[j].order_key())
-                ):
-                    best_local[j] = cand
+                best_local[j] = better(best_local[j], cand)
 
     # one batched min-election over all k nodes
     elected = comm.allreduce_minloc_many(
@@ -971,7 +572,26 @@ def _exchange_distributed_level(
     return [(splits[j], alive_by_node[j]) for j in range(k)]
 
 
-def _exchange_allreduce_level(
+# -- naive full replication (ablation) ------------------------------------
+
+
+def _merge_stat_dicts(a: dict, b: dict) -> dict:
+    """Elementwise combine: histograms/count matrices add; the numeric
+    (hist, vmin, vmax) triples add/min/max."""
+    out = {}
+    for k in a:
+        if isinstance(a[k], tuple):
+            out[k] = (
+                a[k][0] + b[k][0],
+                np.minimum(a[k][1], b[k][1]),
+                np.maximum(a[k][2], b[k][2]),
+            )
+        else:
+            out[k] = a[k] + b[k]
+    return out
+
+
+def _exchange_allreduce(
     ctx: RankContext,
     schema: Schema,
     locals_list: list[NodeStats],

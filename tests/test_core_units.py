@@ -161,6 +161,38 @@ class TestAccessModes:
             "StreamingAccess"
         ]
 
+    def test_open_in_core_fragments_count_against_the_limit(
+        self, schema, fragments, quest_small
+    ):
+        """An in-core access holds its fragment's bytes on the memory
+        budget until released: with a limit L, a second node of 0.6 L
+        streams while the first is open, and opens in core after."""
+        node_bytes = len(quest_small[1]) * schema.row_nbytes()
+
+        def prog(ctx):
+            first = load_fragment(ctx, schema, fragments, name="a")
+            second = load_fragment(ctx, schema, fragments, name="b")
+            assert first.nbytes == second.nbytes == node_bytes
+            held = open_node(ctx, first, schema)
+            beside = open_node(ctx, second, schema)
+            modes = [type(held).__name__, type(beside).__name__]
+            reserved = ctx.memory.reserved
+            beside.release()
+            held.release()
+            after = open_node(ctx, second, schema)
+            modes.append(type(after).__name__)
+            after.release()
+            return modes, reserved, ctx.memory.reserved, ctx.memory.high_water
+
+        limit = int(node_bytes / 0.6)
+        modes, reserved, left, high = make_cluster(1, memory_limit=limit).run(
+            prog
+        ).results[0]
+        assert modes == ["InCoreAccess", "StreamingAccess", "InCoreAccess"]
+        assert reserved == node_bytes
+        assert left == 0
+        assert high <= limit
+
     def test_modes_produce_identical_stats(self, schema, fragments, quest_small):
         cols, labels = quest_small
         bounds = node_boundaries(schema, {k: v[:300] for k, v in cols.items()}, 20)

@@ -45,22 +45,21 @@ def path_of(cfg, res):
 
 # -- the tentpole invariant ---------------------------------------------------
 
-# exchanges × SS/SSE × frontier batching × buffer-pool modes × seeds,
-# curated to cover every axis value at least twice without running the
-# full cross product
+# exchanges × SS/SSE × batch sizes × buffer-pool modes × seeds, curated
+# to cover every axis value at least twice without running the full cross
+# product (a pool of 0.25x the memory limit makes every large node a batch
+# of one; the default 4x pool batches several nodes per level)
 GRID = [
     dict(exchange="attribute", buffer_pool="off", seed=0),
     dict(exchange="attribute", method="ss", buffer_pool="lru", seed=1),
     dict(exchange="distributed", buffer_pool="lru+prefetch", seed=2),
-    dict(exchange="distributed", frontier_batching="per_node", seed=3),
+    dict(exchange="distributed", pool_ratio=0.25, seed=3),
     dict(exchange="allreduce", buffer_pool="lru", seed=4),
-    dict(exchange="allreduce", method="ss",
-         frontier_batching="per_node", seed=5),
+    dict(exchange="allreduce", method="ss", pool_ratio=0.25, seed=5),
     dict(exchange="voting", vote_top_k=4, buffer_pool="off", seed=6),
     dict(exchange="voting", vote_top_k=4,
          buffer_pool="lru+prefetch", seed=7),
-    dict(method="ss", buffer_pool="lru+prefetch",
-         frontier_batching="per_node", seed=8),
+    dict(method="ss", buffer_pool="lru+prefetch", pool_ratio=0.25, seed=8),
     dict(buffer_pool="lru+prefetch", pool_ratio=1.0,
          n_records=4000, n_ranks=2, seed=9),
 ]
@@ -399,9 +398,9 @@ def test_trajectory_aggregates_and_passes(tmp_path):
     _write_bench(tmp_path, "BENCH_voting.json", _voting_payload(4.0))
     # internal bench failure annotates but does not fail the gate (the
     # bench's own CI job reports it); only baseline regressions gate
-    _write_bench(tmp_path, "BENCH_frontier_batching.json", {
-        "benchmark": "frontier_batching", "quick": True, "ok": False,
-        "failures": ["x"], "points": [{"elapsed_ratio": 0.9}],
+    _write_bench(tmp_path, "BENCH_bufferpool.json", {
+        "benchmark": "bufferpool", "quick": True, "ok": False,
+        "failures": ["x"], "points": [{"read_reduction": 1.2}],
     })
     _write_bench(tmp_path, "BENCH_obs_overhead.json", {
         "benchmark": "obs_overhead", "quick": True, "ok": True,
@@ -421,7 +420,7 @@ def test_trajectory_aggregates_and_passes(tmp_path):
     # worst-point reduction: min over points
     assert by_bench["voting"]["value"] == 4.0
     assert by_bench["obs_overhead"]["value"] == 0.02
-    assert by_bench["frontier_batching"]["bench_ok"] is False
+    assert by_bench["bufferpool"]["bench_ok"] is False
     assert not any(e["regressed"] for e in payload["entries"])
 
 

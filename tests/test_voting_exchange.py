@@ -21,10 +21,14 @@ from test_property_exchange import SCHEMA, _random_fragments
 
 
 def fit(p, cols, labels, *, exchange, vote_top_k=8, method="sse",
-        batching="level", seed=0, trace=False, metrics=False, faults=None,
+        pool=None, seed=0, trace=False, metrics=False, faults=None,
         recover=False, observers=None):
+    """``pool`` is the buffer-pool capacity in bytes (None: no pool)."""
     schema = quest_schema()
-    cluster = make_cluster(p, seed=seed)
+    cluster = make_cluster(
+        p, seed=seed, buffer_pool="off" if pool is None else "lru",
+        pool_bytes=pool,
+    )
     ds = DistributedDataset.create(cluster, schema, cols, labels, seed=seed + 1)
     if observers is not None:
         for ctx, obs in zip(ds.contexts, observers):
@@ -34,7 +38,6 @@ def fit(p, cols, labels, *, exchange, vote_top_k=8, method="sse",
             method=method, q_root=80, sample_size=600, min_node=8
         ),
         exchange=exchange,
-        frontier_batching=batching,
         vote_top_k=vote_top_k,
     )
     return PClouds(cfg).fit(
@@ -118,14 +121,20 @@ class TestExactWhenKCoversSchema:
 
 class TestApproximation:
     def test_level_equals_per_node(self, data):
-        """The batched level pipeline must replay the exact same
-        elections as the per-node baseline even when k < f."""
+        """Whole-level batches (large pool) must replay the exact same
+        elections as batches of one (a pool smaller than any large node)
+        even when k < f."""
         cols, labels = data
         a = fit(4, cols, labels, exchange="voting", vote_top_k=2,
-                batching="level")
+                pool=64 * 2**20, trace=True)
         b = fit(4, cols, labels, exchange="voting", vote_top_k=2,
-                batching="per_node")
+                pool=1024, trace=True)
         assert a.tree.to_dict() == b.tree.to_dict()
+        votes = [
+            sum(1 for e in r.tracers[0].events if e.kind == "comm" and e.op == "vote")
+            for r in (a, b)
+        ]
+        assert votes[0] < votes[1] == b.n_large_nodes
 
     def test_small_k_accuracy_stays_close(self, data):
         """Restricting splits to elected candidates loses little: the
