@@ -6,9 +6,10 @@ and the partition pass of a node whose columns fit the pool re-read from
 memory instead of disk; ``"lru+prefetch"`` additionally issues the read
 of chunk i+1 while chunk i computes, hiding transfer time the consumer
 would otherwise wait for. This bench measures simulated elapsed time,
-bytes read and pool counters for the three modes over p ∈ {2, 4, 8} at a
-streaming-heavy memory ratio, verifies the trees are bit-identical, and
-writes ``BENCH_bufferpool.json``.
+bytes read, disk accesses (``io_calls``: every charged read, write and
+prefetch, each paying one seek) and pool counters for the three modes
+over p ∈ {2, 4, 8} at a streaming-heavy memory ratio, verifies the trees
+are bit-identical, and writes ``BENCH_bufferpool.json``.
 
 Run standalone (CI smoke uses ``--quick``)::
 
@@ -66,6 +67,7 @@ def run_point(n_records: int, p: int, mode: str, scale: float) -> dict:
     out = {
         "elapsed": res.elapsed,
         "bytes_read": int(sum(c.stats.bytes_read for c in ctxs)),
+        "io_calls": int(sum(c.stats.io_calls for c in ctxs)),
         "overlap_saved": float(
             sum(c.stats.io_overlap_saved for c in ctxs)
         ),
@@ -160,7 +162,9 @@ def main(argv: list[str] | None = None) -> int:
             pt["dataset"],
             str(pt["n_ranks"]),
             f"{pt['off']['bytes_read'] / 2**20:.1f}",
+            str(pt["off"]["io_calls"]),
             f"{pt['lru']['bytes_read'] / 2**20:.1f}",
+            str(pt["lru"]["io_calls"]),
             f"{pt['read_reduction']:.2f}x",
             f"{pt['off']['elapsed']:.2f}",
             f"{pt['lru+prefetch']['elapsed']:.2f}",
@@ -173,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         format_table(
             [
-                "data", "p", "MiB read off", "MiB read lru", "reduction",
+                "data", "p", "MiB read off", "accesses off",
+                "MiB read lru", "accesses lru", "reduction",
                 "t off", "t lru+pf", "gain", "overlap s", "same tree",
             ],
             rows,

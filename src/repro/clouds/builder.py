@@ -19,7 +19,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.data.schema import Schema
-from repro.ooc.columnset import ColumnSet
+from repro.ooc.columnset import ChunkWriter, ColumnSet
 
 from .direct import StoppingRule, build_subtree_direct, _subtree_size
 from .gini import gini_from_counts
@@ -36,7 +36,7 @@ from .sse import (
 )
 from .tree import DecisionTree, TreeNode
 
-__all__ = ["CloudsConfig", "CloudsBuilder", "draw_sample"]
+__all__ = ["CloudsConfig", "CloudsBuilder", "draw_sample", "partition_columnset"]
 
 
 class CostSink(Protocol):
@@ -125,6 +125,31 @@ def draw_sample(
         {k: np.concatenate(v) for k, v in picked_cols.items()},
         np.concatenate(picked_labels),
     )
+
+
+def partition_columnset(
+    cs: ColumnSet, split: Split, sink: CostSink
+) -> tuple[ColumnSet, ColumnSet, np.ndarray]:
+    """Stream a fragment once, writing both children (read + write of
+    every attribute, as the paper's cost analysis states) and tallying
+    the left child's class counts on the way — partitioning updates the
+    frequencies so no extra counting pass is needed.
+
+    Children are written in whole chunks (:class:`ChunkWriter`), so each
+    child file holds ``ceil(rows / chunk_rows)`` chunks at every depth,
+    whatever the chunking of the fragment it came from.
+    """
+    schema = cs.schema
+    left = ChunkWriter(ColumnSet(cs.disk, schema, name=f"{cs.name}/L"))
+    right = ChunkWriter(ColumnSet(cs.disk, schema, name=f"{cs.name}/R"))
+    left_counts = np.zeros(schema.n_classes, dtype=np.int64)
+    for batch, labels in cs.iter_batches():
+        mask = split.goes_left(batch[split.attribute])
+        sink.charge_compute(ops=len(labels) * len(schema))
+        left.write({k: v[mask] for k, v in batch.items()}, labels[mask])
+        right.write({k: v[~mask] for k, v in batch.items()}, labels[~mask])
+        left_counts += class_counts(labels[mask], schema.n_classes)
+    return left.close(), right.close(), left_counts
 
 
 def node_boundaries(
@@ -357,30 +382,6 @@ class CloudsBuilder:
             )
         return results
 
-    def _partition_pass(
-        self,
-        cs: ColumnSet,
-        split: Split,
-        sink: CostSink,
-        name: str,
-    ) -> tuple[ColumnSet, ColumnSet, np.ndarray]:
-        """Stream the fragment once, writing both children (read + write
-        of every attribute, as the paper's cost analysis states) and
-        tallying the left child's class counts on the way — partitioning
-        updates the frequencies so no extra counting pass is needed."""
-        left = ColumnSet(cs.disk, self.schema, name=f"{name}/L")
-        right = ColumnSet(cs.disk, self.schema, name=f"{name}/R")
-        left_counts = np.zeros(self.schema.n_classes, dtype=np.int64)
-        for batch, labels in cs.iter_batches():
-            mask = split.goes_left(batch[split.attribute])
-            sink.charge_compute(ops=len(labels) * len(self.schema))
-            left.append_batch({k: v[mask] for k, v in batch.items()}, labels[mask])
-            right.append_batch(
-                {k: v[~mask] for k, v in batch.items()}, labels[~mask]
-            )
-            left_counts += class_counts(labels[mask], self.schema.n_classes)
-        return left, right, left_counts
-
     def _build_ooc(
         self,
         cs: ColumnSet,
@@ -430,9 +431,7 @@ class CloudsBuilder:
         if best is None or best.gini >= float(gini_from_counts(counts)):
             cs.delete()
             return node
-        left_cs, right_cs, left_counts = self._partition_pass(
-            cs, best, sink, name=cs.name
-        )
+        left_cs, right_cs, left_counts = partition_columnset(cs, best, sink)
         cs.delete()
         if left_cs.nrows == 0 or right_cs.nrows == 0:
             left_cs.delete()

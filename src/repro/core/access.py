@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.machine import RankContext
+from repro.clouds.builder import partition_columnset
 from repro.clouds.intervals import class_counts
 from repro.clouds.nodestats import NodeStats, accumulate_batch, empty_stats
 from repro.clouds.splits import Split
@@ -161,16 +162,7 @@ class StreamingAccess(NodeAccess):
         return out
 
     def partition(self, split):
-        left = ColumnSet(self.ctx.disk, self.schema, name=f"{self.cs.name}/L")
-        right = ColumnSet(self.ctx.disk, self.schema, name=f"{self.cs.name}/R")
-        left_counts = np.zeros(self.schema.n_classes, dtype=np.int64)
-        for batch, labels in self.cs.iter_batches():
-            mask = split.goes_left(batch[split.attribute])
-            self.ctx.charge_compute(ops=len(labels) * len(self.schema))
-            left.append_batch({k: v[mask] for k, v in batch.items()}, labels[mask])
-            right.append_batch({k: v[~mask] for k, v in batch.items()}, labels[~mask])
-            left_counts += class_counts(labels[mask], self.schema.n_classes)
-        return left, right, left_counts
+        return partition_columnset(self.cs, split, self.ctx)
 
     def release(self) -> None:
         if self._pinned:

@@ -374,11 +374,6 @@ def _root_preprocess(
     return sample_cols, sample_labels, total
 
 
-#: chunk granularity for fragments rebuilt from a checkpoint (only the
-#: disk-access pattern depends on it — never the tree)
-_RESTORE_BATCH_ROWS = 8192
-
-
 def _save_checkpoint(
     ctx: RankContext,
     store: CheckpointStore,
@@ -442,7 +437,8 @@ def _restore_checkpoint(
 
     Collective: rank 0 loads the blob, broadcasts the replicated state
     and scatters each rank its fragments, which are rewritten to the
-    local disks as fresh chunks. Returns ``None`` when no checkpoint is
+    local disks at the default chunk granularity (the layout a fault-free
+    fragment has). Returns ``None`` when no checkpoint is
     readable — the caller restarts from scratch (the initial fragments
     are only consumed after the first checkpoint exists, so a from-zero
     restart always finds them intact).
@@ -464,7 +460,6 @@ def _restore_checkpoint(
                 cols,
                 labels,
                 name=f"r{ctx.rank}/ckpt-node{meta['node_id']}",
-                batch_rows=_RESTORE_BATCH_ROWS,
             ),
             sample_cols=meta["sample_cols"],
             sample_labels=meta["sample_labels"],
@@ -484,7 +479,6 @@ def _restore_checkpoint(
                 cols,
                 labels,
                 name=f"r{ctx.rank}/ckpt-small{meta['node_id']}",
-                batch_rows=_RESTORE_BATCH_ROWS,
             ),
         )
         for meta, (cols, labels) in zip(shared["small"], frags["small"])

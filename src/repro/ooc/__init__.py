@@ -11,7 +11,7 @@ from .backend import (
     chunk_crc,
 )
 from .bufferpool import POOL_MODES, BufferPool, PoolStats
-from .columnset import ColumnSet, default_batch_rows
+from .columnset import ChunkWriter, ColumnSet, default_batch_rows
 from .disk import LocalDisk
 from .extsort import external_sort, is_globally_sorted
 from .file import OocArray
@@ -20,6 +20,7 @@ from .memory import MemoryBudget, MemoryExceededError
 __all__ = [
     "BufferPool",
     "ChunkCorruptionError",
+    "ChunkWriter",
     "ColumnSet",
     "POOL_MODES",
     "PoolStats",

@@ -22,11 +22,13 @@ from .file import OocArray
 def default_batch_rows(disk: LocalDisk, schema: Schema) -> int:
     """Chunk granularity when the writer does not pick one.
 
-    A row batch spans a few disk blocks so per-column chunks amortise the
-    seek, and is capped to a fraction of the buffer pool (when one is
-    attached) so a streaming scan cycles several chunks through the
-    cache instead of one monolithic chunk that can never be prefetched
-    or partially retained.
+    A row batch targets four disk blocks, so each per-column chunk
+    amortises its seek. With a buffer pool attached the target is cut to
+    an eighth of the pool's capacity, but never below one block. So a
+    pool under 32 blocks (2 MiB at 64 KiB blocks) shortens chunks, and
+    one under 8 blocks (512 KiB) gets one-block chunks: larger than an
+    eighth of the pool, and possibly larger than the whole pool (a
+    16 KiB pool gets 64 KiB chunks).
     """
     target = 4 * disk.model.block
     pool = disk.pool
@@ -59,15 +61,12 @@ class ColumnSet:
         name: str = "",
         batch_rows: int | None = None,
     ) -> "ColumnSet":
-        """Write in-memory columns to disk (optionally in batches, which
-        sets the chunking granularity for later scans)."""
-        cs = cls(disk, schema, name=name)
-        n = schema.validate_columns(columns, labels)
-        step = batch_rows or default_batch_rows(disk, schema)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            cs.append_batch({k: v[lo:hi] for k, v in columns.items()}, labels[lo:hi])
-        return cs
+        """Write in-memory columns to disk in chunks of ``batch_rows`` rows
+        (default :func:`default_batch_rows`), the granularity of later
+        scans. Each chunk is written from a view of the inputs."""
+        writer = ChunkWriter(cls(disk, schema, name=name), batch_rows)
+        writer.write(columns, labels)
+        return writer.close()
 
     # -- writing ----------------------------------------------------------
     def append_batch(self, columns: dict[str, np.ndarray], labels: np.ndarray) -> None:
@@ -145,3 +144,61 @@ class ColumnSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnSet(name={self.name!r}, nrows={self.nrows})"
+
+
+class ChunkWriter:
+    """Write rows that arrive in pieces to a :class:`ColumnSet` in whole
+    chunks.
+
+    Each time ``chunk_rows`` rows (default :func:`default_batch_rows`)
+    have gathered, one chunk is written through
+    :meth:`ColumnSet.append_batch`; :meth:`close` writes the remainder.
+    A file written this way holds ``ceil(rows / chunk_rows)`` chunks
+    however the rows arrived, and every chunk costs one seek each time
+    it is read back. Rows keep their order.
+
+    Memory: between writes the writer holds fewer than ``chunk_rows``
+    rows, less than one chunk of ``chunk_rows × row_nbytes`` bytes. At
+    the default granularity that is at most four disk blocks, and one
+    64 KiB block under a pool smaller than 512 KiB, the same order as
+    the input batch a streaming scan already holds. Neither is charged
+    to the rank's memory budget, whose paper-scale limit can be smaller
+    than one disk block. Held pieces are views of the caller's arrays
+    until they are written, so the caller must not modify them before
+    :meth:`close`.
+    """
+
+    def __init__(self, cs: ColumnSet, chunk_rows: int | None = None) -> None:
+        self.cs = cs
+        self.chunk_rows = chunk_rows or default_batch_rows(cs.disk, cs.schema)
+        self._held: list[tuple[dict[str, np.ndarray], np.ndarray]] = []
+        self._held_rows = 0
+
+    def write(self, columns: dict[str, np.ndarray], labels: np.ndarray) -> None:
+        """Add aligned rows; writes every chunk they complete."""
+        n = self.cs.schema.validate_columns(columns, labels)
+        lo = 0
+        while lo < n:
+            hi = lo + min(n - lo, self.chunk_rows - self._held_rows)
+            self._held.append(({k: v[lo:hi] for k, v in columns.items()}, labels[lo:hi]))
+            self._held_rows += hi - lo
+            if self._held_rows == self.chunk_rows:
+                self._flush()
+            lo = hi
+
+    def close(self) -> ColumnSet:
+        """Write the remainder; returns the column set."""
+        self._flush()
+        return self.cs
+
+    def _flush(self) -> None:
+        if len(self._held) == 1:  # a chunk from one piece is written as a view
+            self.cs.append_batch(*self._held[0])
+        elif self._held:
+            names = self._held[0][0]
+            self.cs.append_batch(
+                {k: np.concatenate([c[k] for c, _ in self._held]) for k in names},
+                np.concatenate([lab for _, lab in self._held]),
+            )
+        self._held = []
+        self._held_rows = 0
