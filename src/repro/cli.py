@@ -322,8 +322,10 @@ def cmd_speedup(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Sweep the standard fault plans: does every chaos run survive, and
-    does the recovered tree match the fault-free one bit for bit?"""
+    """Sweep the standard fault plans: does every chaos run survive, does
+    the recovered tree match the fault-free one bit for bit, and do the
+    three fault views — the injector's log, the trace's fault events and
+    ``repro_faults_total`` — count the same faults?"""
     from repro.cluster import SpmdProgramError, standard_plans
     from repro.data import generate_quest
 
@@ -336,8 +338,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         dataset = DistributedDataset.create(
             cluster, quest_schema(), columns, labels, seed=seed + 1
         )
+        observed = plan is not None
         return PClouds().fit(
-            dataset, seed=seed + 2, faults=plan, recover=plan is not None
+            dataset, seed=seed + 2, faults=plan, recover=observed,
+            trace=observed, metrics=observed,
         )
 
     rows = []
@@ -348,11 +352,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             try:
                 res = build(seed, plan)
             except SpmdProgramError:
-                rows.append([plan.name, seed, "-", "-", "no", "no"])
+                rows.append([plan.name, seed, "-", "-", "no", "no", "-"])
                 all_ok = False
                 continue
             recovered = res.tree.to_dict() == baseline
-            all_ok &= recovered
+            traced = sum(len(t.fault_events()) for t in res.tracers)
+            metered = sum(
+                s.value for s in res.metrics.merged()["repro_faults_total"]
+            )
+            agree = len(res.fault_events) == traced == metered
+            all_ok &= recovered and agree
             rows.append(
                 [
                     plan.name,
@@ -361,19 +370,23 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                     len(res.fault_events),
                     "yes",
                     "yes" if recovered else "NO",
+                    "yes" if agree else f"NO ({traced} traced, {metered:g} metered)",
                 ]
             )
     print(
         format_table(
-            ["plan", "seed", "restarts", "faults", "survived", "recovered"],
+            [
+                "plan", "seed", "restarts", "faults", "survived", "recovered",
+                "views agree",
+            ],
             rows,
             title=f"chaos sweep: {args.records:,} records on {args.ranks} ranks",
         )
     )
     print(
-        "all plans recovered bit-identical trees"
+        "all plans recovered bit-identical trees; fault views agree"
         if all_ok
-        else "FAILURE: some plans did not recover"
+        else "FAILURE: some plans did not recover or their fault views disagree"
     )
     return 0 if all_ok else 1
 

@@ -75,7 +75,6 @@ class CloudsConfig:
     max_depth: int | None = None
     purity: float = 1.0
     enumerate_limit: int = 10
-    batch_rows: int = 8192
 
     def __post_init__(self) -> None:
         if self.method not in ("ss", "sse"):

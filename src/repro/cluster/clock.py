@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .events import publish
+
 
 @dataclass
 class SimClock:
@@ -46,20 +48,20 @@ class PhaseTimer:
     ``"alive"``, ``"partition"``, ``"small_nodes"`` the way the paper's
     discussion separates phase costs.
 
-    When a tracer is attached (``repro.cluster.trace.attach_tracers``),
-    every closed phase is also emitted as a span event, and the tracer
-    reads :attr:`current` to tag comm/disk events with the open phase.
+    Phase changes are published to the rank's ``observers``
+    (:mod:`repro.cluster.events`): ``before_phase`` as a phase opens
+    (the fault injector may crash the rank there) and ``record_phase``
+    as it closes. Observers read :attr:`current` to tag comm and disk
+    events with the open phase.
     """
 
     clock: SimClock
     totals: dict[str, float] = field(default_factory=dict)
     _open: str | None = None
     _started_at: float = 0.0
-    #: optional event sink with a ``record_phase(name, t0, t1)`` method.
-    tracer: object | None = None
-    #: optional hook called with the phase name on every :meth:`start` —
-    #: the fault injector uses it to kill a rank at a named phase.
-    on_start: object | None = None
+    #: the owning rank's ordered observer list (shared with its
+    #: communicator and disk)
+    observers: list = field(default_factory=list)
 
     @property
     def current(self) -> str | None:
@@ -68,8 +70,8 @@ class PhaseTimer:
 
     def start(self, phase: str) -> None:
         """Begin attributing time to ``phase`` (closing any open phase)."""
-        if self.on_start is not None:
-            self.on_start(phase)
+        if self.observers:
+            publish(self.observers, "before_phase", phase)
         if self._open is not None:
             self.stop()
         self._open = phase
@@ -81,8 +83,11 @@ class PhaseTimer:
             return
         dt = self.clock.now - self._started_at
         self.totals[self._open] = self.totals.get(self._open, 0.0) + dt
-        if self.tracer is not None:
-            self.tracer.record_phase(self._open, self._started_at, self.clock.now)
+        if self.observers:
+            publish(
+                self.observers, "record_phase", self._open, self._started_at,
+                self.clock.now,
+            )
         self._open = None
 
     def snapshot(self) -> dict[str, float]:

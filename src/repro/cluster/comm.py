@@ -11,6 +11,12 @@ a buffer they've sent. Time is charged from :class:`NetworkModel`:
   ``max(clocks) + cost(m, p)``;
 * a point-to-point receive completes at
   ``max(receiver ready, sender clock + alpha + beta*m)``.
+
+The communicator is also where communication is observed. When the
+rank's ``observers`` list is not empty, every primitive publishes one
+:class:`CommCall` to it (see :mod:`repro.cluster.events`), and every
+collective first offers ``before_collective`` — the fault injector's
+crash point. No primitive calls another, so each call is one event.
 """
 
 from __future__ import annotations
@@ -19,12 +25,40 @@ import pickle
 import queue
 import threading
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ClusterAborted, CommMismatchError, DeadlockError
+from .events import publish
 from .network import NetworkModel
+
+#: label of the communicator every rank starts with; a ``split`` child
+#: extends its parent's label with its members' parent ranks
+#: (``world/0,2``, then ``world/0,2/1``)
+WORLD = "world"
+
+#: the point-to-point primitives (a receive completed through
+#: ``irecv().wait()`` is a ``recv``); every other op is a collective
+P2P_OPS = ("send", "isend", "recv")
+
+
+class CommCall(NamedTuple):
+    """One finished primitive as its rank's observers see it: what it
+    moved and charged on this rank (deltas of :class:`RankStats`, so
+    byte counts are exactly what the communicator charged)."""
+
+    op: str  # primitive name ("allgather", "split", "recv", ...)
+    comm: str  # communicator label
+    t_start: float
+    t_end: float
+    sent: int  # bytes this rank sent
+    received: int  # bytes this rank received
+    busy: float  # charged transfer seconds (comm_time)
+    idle: float  # seconds blocked waiting for other ranks (idle_time)
+    p: int  # communicator size
+    peer: int | None = None  # p2p: the other rank
+    tag: int | None = None  # p2p: message tag
 
 
 @lru_cache(maxsize=8192)
@@ -87,6 +121,51 @@ def _resolve_op(op: str | Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any
         raise ValueError(f"unknown reduction op {op!r}; use sum/min/max or a callable")
 
 
+class _Barrier:
+    """Cyclic barrier whose release is final: a rank released from a
+    round returns normally even if the world aborts before its thread
+    wakes. With ``threading.Barrier`` a peer that crashed right after a
+    collective aborted the others still waking inside it, so whether
+    they completed that collective depended on host scheduling."""
+
+    def __init__(self, parties: int) -> None:
+        self._parties = parties
+        self._cond = threading.Condition()
+        self._arrived = 0
+        self._round = 0
+        self._broken = False
+
+    def wait(self, timeout: float | None = None) -> None:
+        with self._cond:
+            if self._broken:
+                raise threading.BrokenBarrierError
+            this_round = self._round
+            self._arrived += 1
+            if self._arrived == self._parties:
+                self._arrived = 0
+                self._round += 1
+                self._cond.notify_all()
+                return
+            self._cond.wait_for(
+                lambda: self._round != this_round or self._broken, timeout
+            )
+            if self._round != this_round:
+                return
+            self._broken = True  # aborted, or timed out: break it for all
+            self._cond.notify_all()
+            raise threading.BrokenBarrierError
+
+    def abort(self) -> None:
+        with self._cond:
+            self._broken = True
+            self._cond.notify_all()
+
+    def reset(self) -> None:
+        with self._cond:
+            self._broken = False
+            self._arrived = 0
+
+
 class CommWorld:
     """Shared state for one SPMD run: the barrier, the collective slots and
     the point-to-point mailboxes."""
@@ -95,7 +174,7 @@ class CommWorld:
         self.size = size
         self.network = network
         self.timeout = timeout
-        self.barrier = threading.Barrier(size)
+        self.barrier = _Barrier(size)
         self.slots: list[Any] = [None] * size
         self.opnames: list[str | None] = [None] * size
         self.clocks_in: list[float] = [0.0] * size
@@ -161,12 +240,16 @@ class Comm:
     it through ``ctx.comm``.
     """
 
-    def __init__(self, world: CommWorld, rank: int, ctx) -> None:
+    def __init__(self, world: CommWorld, rank: int, ctx, label: str = WORLD) -> None:
         self._world = world
         self.rank = rank
         self.size = world.size
-        self._ctx = ctx  # RankContext (clock + stats)
+        self._ctx = ctx  # RankContext (clock + stats + observers)
         self.parent_ranks: list[int] = list(range(world.size))
+        self.label = label
+        # (op, clock, bytes sent, bytes received, comm s, idle s) at the
+        # entry of the primitive in flight; set only while observed
+        self._entry: tuple | None = None
 
     # -- internals ----------------------------------------------------------
     def _wait(self) -> None:
@@ -181,6 +264,16 @@ class Comm:
             ) from None
 
     def _exchange(self, opname: str, contribution: Any) -> list[Any]:
+        """Open collective ``opname`` and rendezvous. Observers hear of
+        it first: the fault injector may crash the rank here, before it
+        deposits anything."""
+        observers = self._ctx.observers
+        if observers:
+            publish(observers, "before_collective", opname, self.label)
+            self._open(opname)
+        return self._rendezvous(opname, contribution)
+
+    def _rendezvous(self, opname: str, contribution: Any) -> list[Any]:
         """Deposit ``contribution``, rendezvous, and return everyone's
         contributions. Verifies all ranks are executing ``opname``."""
         w = self._world
@@ -209,19 +302,53 @@ class Comm:
         self._ctx.clock.advance(seconds)
         self._ctx.stats.comm_time += seconds
 
+    def _settle(self, seconds: float, sent: int = 0, received: int = 0) -> None:
+        """Charge a collective's Table-1 seconds and bytes, then publish
+        it."""
+        self._charge(seconds)
+        self._count_bytes(sent, received)
+        if self._ctx.observers:
+            self._close("record_collective")
+
+    def _open(self, opname: str) -> None:
+        ctx = self._ctx
+        s = ctx.stats
+        self._entry = (
+            opname, ctx.clock.now, s.bytes_sent, s.bytes_received,
+            s.comm_time, s.idle_time,
+        )
+
+    def _close(self, hook: str, peer: int | None = None, tag: int | None = None) -> None:
+        """Publish the primitive opened by :meth:`_open` as one event."""
+        op, t0, s0, r0, c0, i0 = self._entry
+        ctx = self._ctx
+        s = ctx.stats
+        publish(
+            ctx.observers,
+            hook,
+            CommCall(
+                op, self.label, t0, ctx.clock.now,
+                s.bytes_sent - s0, s.bytes_received - r0,
+                s.comm_time - c0, s.idle_time - i0, self.size, peer, tag,
+            ),
+        )
+
     # -- collectives ---------------------------------------------------------
     def barrier(self) -> None:
         """Synchronise all ranks (costs one zero-byte combine)."""
         self._exchange("barrier", None)
-        self._charge(self._world.network.global_combine(0, self.size))
+        self._settle(self._world.network.global_combine(0, self.size))
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """One-to-all broadcast; every rank returns root's object."""
         data = self._exchange("bcast", obj if self.rank == root else None)
         out = data[root]
         m = payload_nbytes(out)
-        self._charge(self._world.network.broadcast(m, self.size))
-        self._count_bytes(sent=m if self.rank == root else 0, received=m)
+        self._settle(
+            self._world.network.broadcast(m, self.size),
+            sent=m if self.rank == root else 0,
+            received=m,
+        )
         return out
 
     def scatter(self, parts: Sequence[Any] | None, root: int = 0) -> Any:
@@ -238,8 +365,8 @@ class Comm:
         data = self._exchange("scatter", contribution)
         mine = data[root][self.rank]
         m = max(payload_nbytes(x) for x in data[root])
-        self._charge(self._world.network.gather(m, self.size))
-        self._count_bytes(
+        self._settle(
+            self._world.network.gather(m, self.size),
             sent=(
                 sum(payload_nbytes(x) for x in data[root])
                 if self.rank == root
@@ -253,8 +380,8 @@ class Comm:
         """Gather one object per rank at ``root`` (others return None)."""
         data = self._exchange("gather", obj)
         m = max(payload_nbytes(x) for x in data)
-        self._charge(self._world.network.gather(m, self.size))
-        self._count_bytes(
+        self._settle(
+            self._world.network.gather(m, self.size),
             sent=payload_nbytes(obj),
             received=sum(payload_nbytes(x) for x in data) if self.rank == root else 0,
         )
@@ -263,14 +390,7 @@ class Comm:
     def allgather(self, obj: Any) -> list[Any]:
         """All-to-all broadcast; every rank returns the list of all
         contributions, indexed by rank."""
-        data = self._exchange("allgather", obj)
-        m = max(payload_nbytes(x) for x in data)
-        self._charge(self._world.network.all_to_all_broadcast(m, self.size))
-        self._count_bytes(
-            sent=payload_nbytes(obj) * (self.size - 1),
-            received=sum(payload_nbytes(x) for x in data) - payload_nbytes(obj),
-        )
-        return data
+        return self._all_to_all_broadcast("allgather", obj)
 
     def vote(self, ballot: Any) -> list[Any]:
         """All-to-all broadcast of per-rank *ballots* — the vote-election
@@ -280,12 +400,16 @@ class Comm:
         carries its own op name so election traffic is attributable in
         traces, metrics, fault plans and the health monitor's drift
         accounting, separately from the bulk stats collectives."""
-        data = self._exchange("vote", ballot)
+        return self._all_to_all_broadcast("vote", ballot)
+
+    def _all_to_all_broadcast(self, name: str, obj: Any) -> list[Any]:
+        data = self._exchange(name, obj)
         m = max(payload_nbytes(x) for x in data)
-        self._charge(self._world.network.all_to_all_broadcast(m, self.size))
-        self._count_bytes(
-            sent=payload_nbytes(ballot) * (self.size - 1),
-            received=sum(payload_nbytes(x) for x in data) - payload_nbytes(ballot),
+        mine = payload_nbytes(obj)
+        self._settle(
+            self._world.network.all_to_all_broadcast(m, self.size),
+            sent=mine * (self.size - 1),
+            received=sum(payload_nbytes(x) for x in data) - mine,
         )
         return data
 
@@ -305,9 +429,7 @@ class Comm:
         for x in data[1:]:
             acc = fn(acc, x)
         m = payload_nbytes(obj)
-        self._charge(self._world.network.global_combine(m, self.size))
-        self._count_bytes(sent=m, received=m)
-        # combining work is real compute: one op per element per log-p stage
+        self._settle(self._world.network.global_combine(m, self.size), m, m)
         return acc
 
     def allreduce_minloc(
@@ -319,12 +441,12 @@ class Comm:
         caller supplies, e.g. a split's order key) and then by lowest
         rank, so the election is independent of how work was distributed."""
         data = self._exchange(
-            "minloc", (float(value), (tiebreak is None, tiebreak), self.rank, payload)
+            "allreduce_minloc",
+            (float(value), (tiebreak is None, tiebreak), self.rank, payload),
         )
         best = min(data, key=lambda t: (t[0], t[1], t[2]))
         m = 8 + payload_nbytes(best[3])
-        self._charge(self._world.network.global_combine(m, self.size))
-        self._count_bytes(sent=m, received=m)
+        self._settle(self._world.network.global_combine(m, self.size), m, m)
         return best[0], best[3], best[2]
 
     def allreduce_minloc_many(
@@ -356,7 +478,7 @@ class Comm:
             (float(v), (tb is None, tb), self.rank, pl)
             for v, tb, pl in zip(values, tiebreaks, payloads)
         ]
-        data = self._exchange("minloc_many", contribution)
+        data = self._exchange("allreduce_minloc_many", contribution)
         if any(len(row) != k for row in data):
             self._world.abort()
             raise CommMismatchError(
@@ -372,8 +494,7 @@ class Comm:
             )
             m += 8 + payload_nbytes(best[3])
             out.append((best[0], best[3], best[2]))
-        self._charge(self._world.network.global_combine(m, self.size))
-        self._count_bytes(sent=m, received=m)
+        self._settle(self._world.network.global_combine(m, self.size), m, m)
         return out
 
     def scan(self, obj: Any, op: str | Callable = "sum") -> Any:
@@ -384,8 +505,7 @@ class Comm:
         for r in range(1, self.rank + 1):
             acc = fn(acc, data[r])
         m = payload_nbytes(obj)
-        self._charge(self._world.network.prefix_sum(m, self.size))
-        self._count_bytes(sent=m, received=m)
+        self._settle(self._world.network.prefix_sum(m, self.size), m, m)
         return acc
 
     def alltoall(self, parts: Sequence[Any]) -> list[Any]:
@@ -399,8 +519,11 @@ class Comm:
         mine = [row[self.rank] for row in matrix]
         out_bytes = sum(payload_nbytes(x) for i, x in enumerate(parts) if i != self.rank)
         in_bytes = sum(payload_nbytes(x) for i, x in enumerate(mine) if i != self.rank)
-        self._charge(self._world.network.alltoallv(out_bytes, in_bytes, self.size))
-        self._count_bytes(sent=out_bytes, received=in_bytes)
+        self._settle(
+            self._world.network.alltoallv(out_bytes, in_bytes, self.size),
+            out_bytes,
+            in_bytes,
+        )
         return mine
 
     # -- communicator management ------------------------------------------------
@@ -410,9 +533,13 @@ class Comm:
         Ranks passing the same ``color`` form a new communicator whose
         ranks are ordered by their rank here. Task parallelism assigns
         subtasks to processor subgroups created this way. Collective on
-        the current communicator; costs one allgather of the colors.
+        the current communicator; the colour rendezvous costs what an
+        allgather of one word per rank costs.
         """
-        colors = self.allgather(int(color))
+        colors = self._exchange("split", int(color))
+        word = 8  # payload_nbytes of one colour
+        self._charge(self._world.network.all_to_all_broadcast(word, self.size))
+        self._count_bytes(sent=word * (self.size - 1), received=word * (self.size - 1))
         members = [r for r, c in enumerate(colors) if c == colors[self.rank]]
         new_rank = members.index(self.rank)
         # build one CommWorld per color, shared via the parent's slots
@@ -422,14 +549,17 @@ class Comm:
             proposal = {colors[self.rank]: child}
         else:
             proposal = {}
-        worlds = self._exchange("split-worlds", proposal)
+        worlds = self._rendezvous("split-worlds", proposal)
         world = None
         for d in worlds:
             if colors[self.rank] in d:
                 world = d[colors[self.rank]]
                 break
-        sub = Comm(world, new_rank, self._ctx)
-        sub.parent_ranks = members  # world ranks of each subgroup rank
+        label = f"{self.label}/{','.join(str(r) for r in members)}"
+        sub = Comm(world, new_rank, self._ctx, label)
+        sub.parent_ranks = members  # parent-communicator ranks of the subgroup
+        if self._ctx.observers:
+            self._close("record_collective")
         return sub
 
     # -- point to point -------------------------------------------------------
@@ -439,6 +569,9 @@ class Comm:
         ``Request.wait``. The message still arrives ordered per channel."""
         if not 0 <= dst < self.size:
             raise ValueError(f"bad destination rank {dst}")
+        observed = self._ctx.observers
+        if observed:
+            self._open("isend")
         m = payload_nbytes(obj)
         self._charge(self._world.network.alpha)
         start = self._ctx.clock.now
@@ -447,6 +580,8 @@ class Comm:
         # the message lands when the transfer would finish
         arrival = start + self._world.network.beta * m
         self._world.mailbox(self.rank, dst, tag).put((obj, arrival))
+        if observed:
+            self._close("record_p2p", int(dst), int(tag))
         return Request(self, kind="send", transfer_end=arrival)
 
     def irecv(self, src: int, tag: int = 0) -> "Request":
@@ -461,16 +596,24 @@ class Comm:
         transfer time; the message lands at the sender's completion time."""
         if not 0 <= dst < self.size:
             raise ValueError(f"bad destination rank {dst}")
+        observed = self._ctx.observers
+        if observed:
+            self._open("send")
         m = payload_nbytes(obj)
         self._charge(self._world.network.p2p(m))
         self._count_bytes(sent=m)
         self._ctx.stats.messages_sent += 1
         self._world.mailbox(self.rank, dst, tag).put((obj, self._ctx.clock.now))
+        if observed:
+            self._close("record_p2p", int(dst), int(tag))
 
     def recv(self, src: int, tag: int = 0) -> Any:
         """Blocking receive; completes at max(ready, arrival)."""
         if not 0 <= src < self.size:
             raise ValueError(f"bad source rank {src}")
+        observed = self._ctx.observers
+        if observed:
+            self._open("recv")
         q = self._world.mailbox(src, self.rank, tag)
         try:
             item = q.get(timeout=self._world.timeout)
@@ -487,6 +630,8 @@ class Comm:
             self._ctx.stats.idle_time += arrival - self._ctx.clock.now
             self._ctx.clock.advance_to(arrival)
         self._count_bytes(received=payload_nbytes(obj))
+        if observed:
+            self._close("record_p2p", int(src), int(tag))
         return obj
 
     def _count_bytes(self, sent: int = 0, received: int = 0) -> None:

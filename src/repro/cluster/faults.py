@@ -21,14 +21,20 @@ Crashes and corruptions are **one-shot**: once fired they stay spent
 across restart attempts, modelling a node that crashed once and came
 back — which is what lets ``PClouds.fit(faults=..., recover=True)``
 converge to the fault-free tree. Every firing is appended to
-:attr:`FaultInjector.events` and, when tracing is attached, emitted as a
-``fault`` trace event (visible in :class:`~repro.cluster.tracereport.TraceReport`).
+:attr:`FaultInjector.events` and published to the rank's observers as
+``record_fault`` (a ``fault`` trace event, a ``repro_faults_total``
+count).
 
-Attach *after* ``attach_tracers`` so fault events reach the tracer::
+The injector subscribes first to each rank's event stream
+(:mod:`repro.cluster.events`): its ``before_collective`` and
+``before_phase`` hooks run ahead of every other observer and may crash
+the rank before the primitive or phase starts. A straggler fires as the
+first attempt begins, so observers subscribed after the injector still
+see it::
 
-    tracers = attach_tracers(contexts)      # optional
     injector = FaultInjector(plan, seed=0)
     injector.attach(contexts)
+    tracers = attach_tracers(contexts)      # optional, in any order
     injector.begin_attempt()
     cluster.run(program, contexts=contexts)
 """
@@ -40,7 +46,9 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from .comm import WORLD
 from .errors import InjectedFault
+from .events import publish, subscribe
 
 __all__ = [
     "CrashAtCollective",
@@ -52,26 +60,6 @@ __all__ = [
     "FaultInjector",
     "standard_plans",
 ]
-
-#: communicator calls that count toward a rank's collective index
-#: (point-to-point traffic is excluded, matching the tracer's schedules)
-_COLLECTIVES = frozenset(
-    {
-        "barrier",
-        "bcast",
-        "scatter",
-        "gather",
-        "allgather",
-        "vote",
-        "reduce",
-        "allreduce",
-        "allreduce_minloc",
-        "allreduce_minloc_many",
-        "scan",
-        "alltoall",
-        "split",
-    }
-)
 
 
 # -- fault specifications -----------------------------------------------------
@@ -170,23 +158,25 @@ class FaultInjector:
 
     # -- wiring --------------------------------------------------------------
     def attach(self, contexts: list) -> None:
-        """Wrap every context's communicator, phase timer, storage
-        backend and clock. Idempotent; call ``attach_tracers`` first if
-        fault events should land in the trace."""
+        """Subscribe to every context's event stream, wrap its storage
+        backend and slow its clock if the plan says so. Idempotent."""
         if self._contexts is not None:
             return
         self._contexts = list(contexts)
         for ctx in contexts:
-            ctx.comm = _FaultyComm(ctx.comm, self, ctx)
-            ctx.timer.on_start = _PhaseHook(self, ctx)
+            subscribe(ctx.observers, _RankFaults(self, ctx))
             ctx.disk.backend = _FaultyBackend(ctx.disk.backend, self, ctx)
             for _, f in self._specs(ctx.rank, SlowRank):
                 ctx.clock.rate = float(f.factor)
-                self._emit(ctx, f"fault:slow-rank×{f.factor:g}")
 
     def begin_attempt(self) -> None:
         """Reset the per-attempt counters (collective index, phase
-        visits, disk-access index). One-shot faults stay spent."""
+        visits, disk-access index). One-shot faults stay spent. The
+        first attempt fires the stragglers' events."""
+        if self.attempts == 0:
+            for ctx in self._contexts or ():
+                for _, f in self._specs(ctx.rank, SlowRank):
+                    self._emit(ctx, f"fault:slow-rank×{f.factor:g}")
         self.attempts += 1
         self._collective_count.clear()
         self._phase_visits.clear()
@@ -266,47 +256,31 @@ class FaultInjector:
         self.events.append(
             {"rank": ctx.rank, "attempt": self.attempts, "fault": label, "t": t}
         )
-        tracer = getattr(ctx.disk, "tracer", None)
-        if tracer is not None:
-            tracer.record_fault(label, t)
+        publish(ctx.observers, "record_fault", label, t)
 
     @property
     def n_fired(self) -> int:
         return len(self.events)
 
 
-class _PhaseHook:
-    """Bound ``PhaseTimer.on_start`` callback (picklable-free closure)."""
+class _RankFaults:
+    """The injector as one rank's observer, first in dispatch order:
+    crash points fire before the collective or phase starts. Only
+    collectives on the world communicator count toward
+    :class:`CrashAtCollective`'s index."""
+
+    dispatch_slot = 0
 
     def __init__(self, injector: FaultInjector, ctx) -> None:
         self._injector = injector
         self._ctx = ctx
 
-    def __call__(self, phase: str) -> None:
+    def before_collective(self, op: str, comm: str) -> None:
+        if comm == WORLD:
+            self._injector.before_collective(self._ctx, op)
+
+    def before_phase(self, phase: str) -> None:
         self._injector.before_phase(self._ctx, phase)
-
-
-class _FaultyComm:
-    """Communicator wrapper that counts collectives and fires crash
-    faults before the underlying call. Everything else (including
-    ``_world`` and point-to-point traffic) delegates unchanged."""
-
-    def __init__(self, inner, injector: FaultInjector, ctx) -> None:
-        self._inner = inner
-        self._injector = injector
-        self._ctx = ctx
-
-    def __getattr__(self, name: str):
-        attr = getattr(self._inner, name)
-        if name in _COLLECTIVES:
-            injector, ctx = self._injector, self._ctx
-
-            def guarded(*args, **kwargs):
-                injector.before_collective(ctx, name)
-                return attr(*args, **kwargs)
-
-            return guarded
-        return attr
 
 
 class _FaultyBackend:

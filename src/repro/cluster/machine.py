@@ -24,6 +24,7 @@ from .comm import Comm, CommWorld
 from .compute import ComputeModel
 from .diskmodel import DiskModel
 from .errors import ClusterAborted, SpmdProgramError
+from .events import publish
 from .network import NetworkModel
 from .stats import RankStats, RunStats
 
@@ -44,8 +45,10 @@ class RankContext:
     rng : per-rank numpy Generator, seeded from (cluster seed, rank).
     stats : resource counters.
     timer : phase attribution of simulated time.
-    observers : attached instrumentation (tracers, metrics recorders);
-        driver programs broadcast milestones to them via :meth:`notify`.
+    observers : the rank's ordered event subscribers (fault injector,
+        tracer, metrics recorder, ...). The communicator, disk and phase
+        timer publish to them; driver programs add milestones via
+        :meth:`notify`.
     """
 
     def __init__(
@@ -70,8 +73,11 @@ class RankContext:
         self.clock = SimClock()
         self.stats = RankStats()
         self.compute = compute
+        self.observers: list[Any] = []
         self.comm = Comm(world, rank, self)
-        self.disk = LocalDisk(disk_model, self.clock, self.stats, backend)
+        self.disk = LocalDisk(
+            disk_model, self.clock, self.stats, backend, observers=self.observers
+        )
         self.memory = MemoryBudget(limit=memory_limit)
         self.pool_budget: MemoryBudget | None = None
         if buffer_pool != "off":
@@ -89,18 +95,14 @@ class RankContext:
                 )
             )
         self.rng = np.random.default_rng(np.random.SeedSequence([seed, rank]))
-        self.timer = PhaseTimer(self.clock)
-        self.observers: list[Any] = []
+        self.timer = PhaseTimer(self.clock, observers=self.observers)
 
-    def notify(self, event: str, *args: Any, **kwargs: Any) -> None:
+    def notify(self, event: str, *args: Any) -> None:
         """Deliver a driver milestone (``begin_level``, ``end_level``,
-        ``on_survival``, ...) to every attached observer that implements
-        it. Free when nothing is attached; observers must not advance the
-        clock or touch the rng, so notified runs stay bit-identical."""
-        for obs in self.observers:
-            fn = getattr(obs, event, None)
-            if fn is not None:
-                fn(*args, **kwargs)
+        ``on_survival``, ...) to every observer that implements it, on
+        the same ordered list the communicator, disk and phase timer
+        publish to (:mod:`repro.cluster.events`)."""
+        publish(self.observers, event, *args)
 
     def charge_compute(self, ops: float = 0.0, seconds: float = 0.0) -> None:
         """Charge local CPU work, by op count and/or directly in seconds."""

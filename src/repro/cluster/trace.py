@@ -17,23 +17,25 @@ phase* (see :mod:`repro.cluster.tracereport`). Three uses:
   :func:`assert_schedules_match` checks it, and the test-suite runs
   pCLOUDS under it.
 
-Byte accounting is exact by construction: the tracer does not recompute
-payload sizes but snapshots the rank's :class:`RankStats` byte counters
-around each primitive, so an event's ``sent``/``received`` are precisely
-what the communicator charged (a ``recv`` carries the true payload size,
-``allreduce_minloc`` includes its payload, and nested primitives — the
-``allgather`` inside ``split`` — are never double-counted).
+Byte accounting is exact by construction: the tracer is one of the
+rank's observers (:mod:`repro.cluster.events`) and records the
+:class:`~repro.cluster.comm.CommCall` the communicator publishes, whose
+``sent``/``received`` are the rank's :class:`RankStats` deltas over the
+primitive — precisely what was charged (a ``recv`` carries the true
+payload size, ``allreduce_minloc`` includes its payload), with no payload
+re-walk.
 
-Tracing is opt-in (``Cluster.run`` is unaffected); wrap contexts with
+Tracing is opt-in (``Cluster.run`` is unaffected); subscribe tracers with
 :func:`attach_tracers` before running.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
-from .comm import Comm
+from .comm import P2P_OPS, WORLD, CommCall
+from .events import subscribe
 from .machine import RankContext
 
 __all__ = [
@@ -43,25 +45,6 @@ __all__ = [
     "attach_tracers",
     "assert_schedules_match",
 ]
-
-#: communicator label given to the communicator present at attach time.
-WORLD = "world"
-
-#: point-to-point ops, excluded from schedules (sends and receives
-#: legitimately differ across ranks).
-_P2P_OPS = ("send", "recv", "isend")
-
-
-def _p2p_peer_tag(op, args, kwargs):
-    """Destination/source rank and tag of a p2p call, read straight from
-    the call arguments (never from the payload — no extra walks)."""
-    if op == "recv":  # recv(src, tag=0)
-        peer = args[0] if args else kwargs.get("src")
-        tag = args[1] if len(args) > 1 else kwargs.get("tag", 0)
-    else:  # send(obj, dst, tag=0) / isend(obj, dst, tag=0)
-        peer = args[1] if len(args) > 1 else kwargs.get("dst")
-        tag = args[2] if len(args) > 2 else kwargs.get("tag", 0)
-    return (int(peer) if peer is not None else None), int(tag)
 
 
 @dataclass(frozen=True)
@@ -117,13 +100,8 @@ class Tracer:
     exchange_strategy: str | None = None
     #: fit attempt currently recording (driver ``begin_attempt``).
     attempt: int = 0
-    # bytes already attributed to recorded comm events; lets an outer
-    # primitive (split) subtract what its nested calls already logged.
-    attributed_sent: int = 0
-    attributed_received: int = 0
-    # blocked seconds already attributed, same subtraction rule (split's
-    # nested allgather records the sync slack; the outer split must not).
-    attributed_blocked: float = 0.0
+    #: position in the rank's observer list (after the fault injector)
+    dispatch_slot: ClassVar[int] = 1
 
     def record(
         self,
@@ -165,10 +143,23 @@ class Tracer:
                 attempt=self.attempt,
             )
         )
-        if kind == "comm":
-            self.attributed_sent += int(sent)
-            self.attributed_received += int(received)
-            self.attributed_blocked += blocked
+
+    def record_collective(self, call: CommCall) -> None:
+        self.record(
+            call.op,
+            max(call.sent, call.received),
+            call.t_start,
+            call.t_end,
+            comm=call.comm,
+            sent=call.sent,
+            received=call.received,
+            blocked=call.idle,
+            peer=call.peer,
+            tag=call.tag,
+        )
+
+    #: point-to-point calls are recorded the same way (peer and tag set)
+    record_p2p = record_collective
 
     def record_disk(
         self, op: str, nbytes: int, t_start: float, t_end: float
@@ -246,7 +237,7 @@ class Tracer:
             e.op
             for e in self.events
             if e.kind == "comm"
-            and e.op not in _P2P_OPS
+            and e.op not in P2P_OPS
             and (comm is None or e.comm == comm)
         ]
 
@@ -256,7 +247,7 @@ class Tracer:
         that executed nothing still participates in schedule matching."""
         out: dict[str, list[str]] = {WORLD: []}
         for e in self.events:
-            if e.kind == "comm" and e.op not in _P2P_OPS:
+            if e.kind == "comm" and e.op not in P2P_OPS:
                 out.setdefault(e.comm or WORLD, []).append(e.op)
         return out
 
@@ -279,102 +270,14 @@ class Tracer:
         return sum(e.nbytes for e in self.events if e.kind == "disk")
 
 
-class _TracingComm(Comm):
-    """Comm wrapper that logs each primitive around the real call.
-
-    Byte counts come from :class:`RankStats` deltas, not from re-walking
-    the payload — exact per-primitive accounting at zero extra payload
-    traversals. ``split`` returns a traced child communicator whose label
-    extends the parent's with the subgroup's parent-rank list, so
-    subgroup collectives appear in schedules and byte totals.
-    """
-
-    _TRACED = (
-        "barrier",
-        "bcast",
-        "scatter",
-        "gather",
-        "allgather",
-        "vote",
-        "reduce",
-        "allreduce",
-        "allreduce_minloc",
-        "allreduce_minloc_many",
-        "scan",
-        "alltoall",
-        "send",
-        "recv",
-        "isend",
-        "split",
-    )
-
-    def __init__(self, inner: Comm, tracer: Tracer, label: str = WORLD) -> None:
-        self._world = inner._world
-        self.rank = inner.rank
-        self.size = inner.size
-        self._ctx = inner._ctx
-        self.parent_ranks = inner.parent_ranks
-        self._tracer = tracer
-        self._label = label
-
-    def __getattribute__(self, name: str):
-        if name in _TracingComm._TRACED:
-            real = Comm.__dict__[name].__get__(self, Comm)
-            tracer = object.__getattribute__(self, "_tracer")
-            ctx = object.__getattribute__(self, "_ctx")
-            label = object.__getattribute__(self, "_label")
-
-            def traced(*args: Any, **kwargs: Any):
-                stats = ctx.stats
-                t0 = ctx.clock.now
-                s0, r0 = stats.bytes_sent, stats.bytes_received
-                i0 = stats.idle_time
-                a_s0, a_r0 = tracer.attributed_sent, tracer.attributed_received
-                a_b0 = tracer.attributed_blocked
-                out = real(*args, **kwargs)
-                # stats delta minus whatever nested traced calls already
-                # attributed (split's inner allgather records itself)
-                sent = (stats.bytes_sent - s0) - (tracer.attributed_sent - a_s0)
-                received = (stats.bytes_received - r0) - (
-                    tracer.attributed_received - a_r0
-                )
-                blocked = (stats.idle_time - i0) - (
-                    tracer.attributed_blocked - a_b0
-                )
-                peer = tag = None
-                if name in _P2P_OPS:
-                    peer, tag = _p2p_peer_tag(name, args, kwargs)
-                if name == "split":
-                    members = ",".join(str(r) for r in out.parent_ranks)
-                    out = _TracingComm(out, tracer, label=f"{label}/{members}")
-                tracer.record(
-                    name,
-                    max(sent, received),
-                    t0,
-                    ctx.clock.now,
-                    comm=label,
-                    sent=sent,
-                    received=received,
-                    blocked=blocked,
-                    peer=peer,
-                    tag=tag,
-                )
-                return out
-
-            return traced
-        return object.__getattribute__(self, name)
-
-
 def attach_tracers(contexts: list[RankContext]) -> list[Tracer]:
-    """Wrap every context's communicator, disk and phase timer; returns
-    the tracers (indexed by rank) that fill up during subsequent runs."""
+    """Subscribe one tracer to every context's event stream (comm, disk,
+    phases, faults and driver milestones); returns the tracers (indexed
+    by rank) that fill up during subsequent runs."""
     tracers = []
     for ctx in contexts:
         tracer = Tracer(rank=ctx.rank, phase_source=ctx.timer)
-        ctx.comm = _TracingComm(ctx.comm, tracer)
-        ctx.disk.tracer = tracer
-        ctx.timer.tracer = tracer
-        ctx.observers.append(tracer)  # receives frontier-level milestones
+        subscribe(ctx.observers, tracer)
         tracers.append(tracer)
     return tracers
 

@@ -14,15 +14,22 @@ simulated machine has no filesystem metadata model) and restores the
 *latest readable* checkpoint: a corrupted blob is skipped and the next
 older one used, so corruption of the checkpoint itself degrades recovery
 granularity instead of killing it.
+
+:func:`run_observed` is the one attach-and-restart path of the fits: it
+subscribes the observers a fit asked for, runs the fit program attempt
+by attempt, and restarts a dead attempt from the latest checkpoint.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
+from repro.cluster.errors import SpmdProgramError
+from repro.cluster.machine import SpmdRun
 from repro.ooc.backend import ChunkCorruptionError
 
 
@@ -81,3 +88,107 @@ class CheckpointStore:
 
     def clear(self) -> None:
         self._entries.clear()
+
+
+@dataclass
+class ObservedRun:
+    """A fit program's successful run, with the observers it ran under."""
+
+    run: SpmdRun
+    failed_time: float  # simulated seconds burned by dead attempts
+    restarts: int
+    tracers: list | None
+    injector: Any
+    registry: Any
+    monitor: Any
+
+    @property
+    def elapsed(self) -> float:
+        return self.run.elapsed + self.failed_time
+
+    @property
+    def fault_events(self) -> list:
+        return list(self.injector.events) if self.injector is not None else []
+
+
+def run_observed(
+    dataset,
+    program: Callable[..., Any],
+    *args: Any,
+    seed: int,
+    trace: bool = False,
+    faults=None,
+    recover: bool = False,
+    max_restarts: int = 8,
+    metrics: bool = False,
+    health=None,
+) -> ObservedRun:
+    """Run ``program(ctx, *args, store, resume)`` on the dataset's
+    contexts under the requested observers, restarting dead attempts.
+
+    Subscribes tracers (``trace``), the fault injector (``faults``: a
+    plan, seeded with ``seed``, or a pre-built injector) and the metrics
+    recorders with the online health monitor (``metrics``, thresholds
+    ``health``). With ``recover`` an attempt that dies with
+    :class:`~repro.cluster.errors.SpmdProgramError` restarts from the
+    latest checkpoint, up to ``max_restarts`` times; without it the
+    error propagates. The recorders are finalized and
+    ``repro_run_elapsed_seconds`` set, dead attempts included.
+    """
+    contexts = dataset.contexts
+    tracers = injector = registry = monitor = None
+    recorders: list = []
+    if trace:
+        from repro.cluster.trace import attach_tracers
+
+        tracers = attach_tracers(contexts)
+    if faults is not None:
+        from repro.cluster.faults import FaultInjector
+
+        injector = (
+            faults
+            if isinstance(faults, FaultInjector)
+            else FaultInjector(faults, seed=seed)
+        )
+        injector.attach(contexts)
+    if metrics:
+        from repro.obs.health import HealthMonitor
+        from repro.obs.instrument import attach_metrics
+
+        monitor = HealthMonitor(
+            dataset.n_ranks, dataset.cluster.network, thresholds=health
+        )
+        registry, recorders = attach_metrics(contexts, monitor=monitor)
+    store = CheckpointStore() if recover else None
+    failed_time = 0.0
+    restarts = 0
+    while True:
+        if injector is not None:
+            injector.begin_attempt()
+        for c in contexts:
+            c.notify("begin_attempt", restarts)
+        try:
+            run = dataset.cluster.run(
+                program,
+                *args,
+                store,
+                restarts > 0,
+                contexts=contexts,
+                reset_clocks=True,
+            )
+            break
+        except SpmdProgramError:
+            # time already burned by the dead attempt counts
+            failed_time += max(c.clock.now for c in contexts)
+            restarts += 1
+            if not recover or restarts > max_restarts:
+                raise
+    for rec in recorders:
+        rec.finalize()
+    if registry is not None:
+        registry.shard(0).set(
+            "repro_run_elapsed_seconds", (), run.elapsed + failed_time
+        )
+    return ObservedRun(
+        run, failed_time, restarts, tracers, injector, registry, monitor
+    )

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.errors import SpmdProgramError
 from repro.cluster.machine import Cluster, RankContext, SpmdRun
 from repro.clouds.builder import node_boundaries
 from repro.clouds.gini import gini_from_counts
@@ -43,7 +42,7 @@ from .access import open_node
 # the one-node forms of the batch steps (evaluate_alive_parallel,
 # exchange_node_stats) stay importable here: perfbench/layers.py wraps them
 from .alive import evaluate_alive_level, evaluate_alive_parallel  # noqa: F401
-from .checkpoint import CheckpointStore
+from .checkpoint import CheckpointStore, run_observed
 from .config import PCloudsConfig
 from .dataset import DistributedDataset
 from .small_tasks import SmallTask, process_small_tasks
@@ -182,64 +181,23 @@ class PClouds:
         Metering never advances a simulated clock, so the tree and the
         elapsed time are bit-identical to an unmetered fit.
         """
-        tracers = None
-        if trace:
-            from repro.cluster.trace import attach_tracers
-
-            tracers = attach_tracers(dataset.contexts)
-        injector = None
-        if faults is not None:
-            from repro.cluster.faults import FaultInjector
-
-            injector = (
-                faults
-                if isinstance(faults, FaultInjector)
-                else FaultInjector(faults, seed=seed)
-            )
-            injector.attach(dataset.contexts)
-        registry = None
-        recorders: list | None = None
-        monitor = None
-        if metrics:
-            # attached last so the metered wrapper is outermost: its
-            # deltas then include tracer/injector effects underneath
-            from repro.obs.health import HealthMonitor
-            from repro.obs.instrument import attach_metrics
-
-            monitor = HealthMonitor(
-                dataset.n_ranks, dataset.cluster.network, thresholds=health
-            )
-            registry, recorders = attach_metrics(
-                dataset.contexts, monitor=monitor
-            )
-        store = CheckpointStore() if recover else None
-        failed_time = 0.0
-        restarts = 0
-        while True:
-            if injector is not None:
-                injector.begin_attempt()
-            for c in dataset.contexts:
-                c.notify("begin_attempt", restarts)
-            try:
-                run = dataset.cluster.run(
-                    _fit_program,
-                    dataset.columnsets,
-                    dataset.schema,
-                    self.config,
-                    dataset.n_total,
-                    seed,
-                    store,
-                    restarts > 0,
-                    contexts=dataset.contexts,
-                    reset_clocks=True,
-                )
-                break
-            except SpmdProgramError:
-                # time already burned by the dead attempt counts
-                failed_time += max(c.clock.now for c in dataset.contexts)
-                restarts += 1
-                if not recover or restarts > max_restarts:
-                    raise
+        obs = run_observed(
+            dataset,
+            _fit_program,
+            dataset.columnsets,
+            dataset.schema,
+            self.config,
+            dataset.n_total,
+            seed,
+            seed=seed,
+            trace=trace,
+            faults=faults,
+            recover=recover,
+            max_restarts=max_restarts,
+            metrics=metrics,
+            health=health,
+        )
+        run = obs.run
         payload = run.results[0]
         tree = DecisionTree(
             root=payload["root"],
@@ -247,36 +205,31 @@ class PClouds:
             meta={"builder": "pclouds", "n_ranks": dataset.n_ranks},
         )
         health_report = None
-        if recorders is not None:
-            for rec in recorders:
-                rec.finalize()
-            registry.shard(0).set(
-                "repro_run_elapsed_seconds", (), run.elapsed + failed_time
-            )
+        if obs.monitor is not None:
             from repro.obs.health import HealthReport
 
             health_report = HealthReport.from_monitor(
-                monitor,
+                obs.monitor,
                 meta={
                     "n_ranks": dataset.n_ranks,
                     "seed": seed,
                     "exchange": self.config.exchange,
                     "q_switch": self.config.q_switch,
-                    "restarts": restarts,
-                    "elapsed_s": run.elapsed + failed_time,
+                    "restarts": obs.restarts,
+                    "elapsed_s": obs.elapsed,
                 },
             )
         return PCloudsResult(
             tree=tree,
-            elapsed=run.elapsed + failed_time,
+            elapsed=obs.elapsed,
             run=run,
             n_large_nodes=payload["n_large"],
             n_small_tasks=payload["n_small"],
             survival_ratios=payload["survival"],
-            tracers=tracers,
-            n_restarts=restarts,
-            fault_events=list(injector.events) if injector is not None else [],
-            metrics=registry,
+            tracers=obs.tracers,
+            n_restarts=obs.restarts,
+            fault_events=obs.fault_events,
+            metrics=obs.registry,
             health=health_report,
         )
 

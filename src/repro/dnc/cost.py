@@ -26,6 +26,7 @@ __all__ = [
     "DncCostModel",
     "TreeShape",
     "collective_cost",
+    "observed_collective_cost",
     "exchange_stats_bytes",
     "exchange_cost",
     "startup_cost",
@@ -38,6 +39,9 @@ __all__ = [
 _COMBINE_OPS = frozenset(
     {"reduce", "allreduce", "allreduce_minloc", "allreduce_minloc_many"}
 )
+#: ops priced by the all-to-all broadcast row: ``split``'s colour
+#: rendezvous is an allgather of one word per rank
+_ALL_TO_ALL_BROADCAST_OPS = frozenset({"allgather", "vote", "split"})
 
 
 def collective_cost(
@@ -68,7 +72,7 @@ def collective_cost(
         return network.broadcast(m, p)
     if op in ("gather", "scatter"):
         return network.gather(m, p)
-    if op in ("allgather", "vote"):
+    if op in _ALL_TO_ALL_BROADCAST_OPS:
         return network.all_to_all_broadcast(m, p)
     if op in _COMBINE_OPS:
         return network.global_combine(m, p)
@@ -77,6 +81,45 @@ def collective_cost(
     if op == "alltoall":
         return network.alltoallv(out_bytes, in_bytes, p)
     raise ValueError(f"no Table-1 cost row for collective {op!r}")
+
+
+def observed_collective_cost(
+    network: NetworkModel,
+    op: str,
+    *,
+    p: int,
+    sent: float,
+    received: float,
+    max_sent: float,
+    max_received: float,
+) -> float:
+    """Table-1 cost of one rank's part in a collective, priced from the
+    byte counters the communicator charged — the inverse of
+    :class:`repro.cluster.comm.Comm`'s accounting.
+
+    ``sent``/``received`` are this rank's counters for the call,
+    ``max_sent``/``max_received`` the maxima over its participants: a
+    row's ``m`` is the largest contribution for bcast, scatter, gather
+    and the all-to-all broadcasts, the rank's own reduced vector for
+    combines and scans, while ``alltoall`` takes the rank's totals. The
+    health monitor's drift and the critical path's startup/bandwidth
+    split both price observed collectives with it.
+    """
+    if op == "alltoall":
+        return collective_cost(
+            network, op, p=p, out_bytes=sent, in_bytes=received
+        )
+    if op in ("bcast", "scatter"):
+        m = max_received
+    elif op == "gather":
+        m = max_sent
+    elif op in _ALL_TO_ALL_BROADCAST_OPS:
+        m = max_sent / (p - 1) if p > 1 else 0.0
+    elif op == "barrier":
+        m = 0.0
+    else:  # combines, scans: every rank contributes the reduced vector
+        m = sent
+    return collective_cost(network, op, p=p, m=m)
 
 
 def startup_cost(network: NetworkModel, op: str, *, p: int) -> float:

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.errors import SpmdProgramError
 from repro.cluster.machine import GroupContext, RankContext, SpmdRun
 from repro.clouds.forest import DecisionForest
 from repro.clouds.tree import (
@@ -58,7 +57,7 @@ from repro.clouds.tree import (
     decode_node,
     encode_node,
 )
-from repro.core.checkpoint import CheckpointStore
+from repro.core.checkpoint import CheckpointStore, run_observed
 from repro.core.config import PCloudsConfig
 from repro.core.dataset import DistributedDataset
 from repro.core.pclouds import fit_tree_program
@@ -181,10 +180,10 @@ class PForest:
         Unlike :meth:`PClouds.fit` this does **not** consume the
         dataset's fragments — bags are derived spools and the base data
         survives the fit. The keyword surface mirrors ``PClouds.fit``:
-        ``trace`` / ``faults`` / ``recover`` / ``metrics`` compose the
-        same way (tracers, then injector, then the metered wrapper
-        outermost), and metering never perturbs the simulated clocks,
-        so a metered forest is bit-identical to an unmetered one.
+        ``trace`` / ``faults`` / ``recover`` / ``metrics`` go through
+        the same :func:`~repro.core.checkpoint.run_observed`, and
+        metering never perturbs the simulated clocks, so a metered
+        forest is bit-identical to an unmetered one.
         """
         cfg = self.config
         B = cfg.n_trees
@@ -225,72 +224,30 @@ class PForest:
         n_waves = math.ceil(B / n_groups)
         seeds = spawn_tree_seeds(seed, B)
 
-        tracers = None
-        if trace:
-            from repro.cluster.trace import attach_tracers
-
-            tracers = attach_tracers(dataset.contexts)
-        injector = None
-        if faults is not None:
-            from repro.cluster.faults import FaultInjector
-
-            injector = (
-                faults
-                if isinstance(faults, FaultInjector)
-                else FaultInjector(faults, seed=seed)
-            )
-            injector.attach(dataset.contexts)
-        registry = None
-        recorders: list | None = None
-        monitor = None
-        if metrics:
-            # metered wrapper outermost, exactly as in PClouds.fit
-            from repro.obs.health import HealthMonitor
-            from repro.obs.instrument import attach_metrics
-
-            monitor = HealthMonitor(
-                dataset.n_ranks, dataset.cluster.network, thresholds=health
-            )
-            registry, recorders = attach_metrics(
-                dataset.contexts, monitor=monitor
-            )
-
         # run-wide deltas: pool + disk counters already hold the initial
         # distribution's traffic, so snapshot before the fit
         pool_pre = [_pool_totals(c) for c in dataset.contexts]
         disk_pre = [int(c.stats.bytes_read) for c in dataset.contexts]
 
-        store = CheckpointStore() if recover else None
-        failed_time = 0.0
-        restarts = 0
-        while True:
-            if injector is not None:
-                injector.begin_attempt()
-            for c in dataset.contexts:
-                c.notify("begin_attempt", restarts)
-            try:
-                run = dataset.cluster.run(
-                    _forest_program,
-                    dataset.columnsets,
-                    dataset.schema,
-                    dataset.row_ids,
-                    cfg,
-                    dataset.n_total,
-                    seeds,
-                    n_groups,
-                    store,
-                    restarts > 0,
-                    contexts=dataset.contexts,
-                    reset_clocks=True,
-                )
-                break
-            except SpmdProgramError:
-                # time already burned by the dead attempt counts
-                failed_time += max(c.clock.now for c in dataset.contexts)
-                restarts += 1
-                if not recover or restarts > max_restarts:
-                    raise
-
+        obs = run_observed(
+            dataset,
+            _forest_program,
+            dataset.columnsets,
+            dataset.schema,
+            dataset.row_ids,
+            cfg,
+            dataset.n_total,
+            seeds,
+            n_groups,
+            seed=seed,
+            trace=trace,
+            faults=faults,
+            recover=recover,
+            max_restarts=max_restarts,
+            metrics=metrics,
+            health=health,
+        )
+        run = obs.run
         payload = run.results[0]
         trees = [
             _decode_tree(
@@ -341,16 +298,11 @@ class PForest:
         ]
 
         health_report = None
-        if recorders is not None:
-            for rec in recorders:
-                rec.finalize()
-            registry.shard(0).set(
-                "repro_run_elapsed_seconds", (), run.elapsed + failed_time
-            )
+        if obs.monitor is not None:
             _record_forest_metrics(
-                registry, B, n_groups, n_waves, tree_stats, cross_tree
+                obs.registry, B, n_groups, n_waves, tree_stats, cross_tree
             )
-            monitor.evaluate_forest_cache(
+            obs.monitor.evaluate_forest_cache(
                 n_groups=n_groups,
                 cross_tree_hits=xhits,
                 hits=hits,
@@ -358,7 +310,7 @@ class PForest:
             from repro.obs.health import HealthReport
 
             health_report = HealthReport.from_monitor(
-                monitor,
+                obs.monitor,
                 meta={
                     "n_ranks": dataset.n_ranks,
                     "seed": seed,
@@ -367,14 +319,14 @@ class PForest:
                     "n_waves": n_waves,
                     "regime": cfg.regime,
                     "exchange": cfg.pclouds.exchange,
-                    "restarts": restarts,
-                    "elapsed_s": run.elapsed + failed_time,
+                    "restarts": obs.restarts,
+                    "elapsed_s": obs.elapsed,
                     "cross_tree_hit_rate": cross_tree["cross_tree_hit_rate"],
                 },
             )
         return ForestResult(
             forest=forest,
-            elapsed=run.elapsed + failed_time,
+            elapsed=obs.elapsed,
             run=run,
             n_groups=n_groups,
             n_waves=n_waves,
@@ -382,10 +334,10 @@ class PForest:
             tree_stats=tree_stats,
             cross_tree=cross_tree,
             disk_read_bytes=disk_read,
-            tracers=tracers,
-            n_restarts=restarts,
-            fault_events=list(injector.events) if injector is not None else [],
-            metrics=registry,
+            tracers=obs.tracers,
+            n_restarts=obs.restarts,
+            fault_events=obs.fault_events,
+            metrics=obs.registry,
             health=health_report,
         )
 

@@ -45,9 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cluster.comm import P2P_OPS
 from repro.cluster.network import NetworkModel
-from repro.cluster.trace import _P2P_OPS, TraceEvent, Tracer
-from repro.dnc.cost import collective_cost, startup_cost
+from repro.cluster.trace import TraceEvent, Tracer
+from repro.dnc.cost import observed_collective_cost, startup_cost
 
 __all__ = [
     "CATEGORIES",
@@ -207,15 +208,15 @@ class CriticalPath:
 
 def _timeline(tracer: Tracer, attempt: int) -> list[TraceEvent]:
     """The rank's causally-ordered clock-occupying events: comm calls
-    except the outer ``split`` (its nested traced allgather covers the
-    same span) and disk accesses except the issue-time ``prefetch``
-    (io-queue domain; its end time goes stale under demand preemption —
-    ``prefetch_wait`` carries the consumption point instead)."""
+    and disk accesses except the ``prefetch`` slice stamped when the
+    read was queued (io-queue domain; its end time goes stale under
+    demand preemption — ``prefetch_wait`` carries the consumption point
+    instead)."""
     out = []
     for e in tracer.events:
         if e.attempt != attempt:
             continue
-        if e.kind == "comm" and e.op != "split":
+        if e.kind == "comm":
             out.append(e)
         elif e.kind == "disk" and e.op != "prefetch":
             out.append(e)
@@ -239,7 +240,7 @@ def collective_groups(
     for rank, evs in enumerate(timelines):
         seq: dict[str, int] = {}
         for e in evs:
-            if e.kind != "comm" or e.op in _P2P_OPS:
+            if e.kind != "comm" or e.op in P2P_OPS:
                 continue
             label = e.comm or "world"
             k = seq.get(label, 0)
@@ -282,23 +283,6 @@ def match_p2p(
     return out
 
 
-def _collective_m(op: str, group: list[tuple[int, TraceEvent]], e: TraceEvent) -> float:
-    """Invert the traced byte counters back to the Table-1 row's ``m``,
-    exactly as the communicator derived it (mirrors the health
-    monitor's drift accounting)."""
-    p = len(group)
-    if op == "bcast" or op == "scatter":
-        return float(max(ev.received for _, ev in group))
-    if op == "gather":
-        return float(max(ev.sent for _, ev in group))
-    if op in ("allgather", "vote"):
-        mx = max(ev.sent for _, ev in group)
-        return mx / (p - 1) if p > 1 else 0.0
-    if op == "barrier":
-        return 0.0
-    return float(e.sent)  # combines, scans: the rank's reduced vector
-
-
 def _startup_fraction(
     network: NetworkModel,
     e: TraceEvent,
@@ -310,19 +294,16 @@ def _startup_fraction(
     health monitor pins for fault-free runs). Robust to clock-rate
     scaling (stragglers) and to uniformly scaled cost models: a common
     factor on alpha and beta cancels out of the fraction."""
-    if e.op in _P2P_OPS:
+    if e.op in P2P_OPS:
         total = network.p2p(float(e.sent or e.received))
         startup = network.alpha
     else:
-        p = len(group) if group else 1
-        if e.op == "alltoall":
-            total = collective_cost(
-                network, e.op, p=p,
-                out_bytes=float(e.sent), in_bytes=float(e.received),
-            )
-        else:
-            m = _collective_m(e.op, group or [], e)
-            total = collective_cost(network, e.op, p=p, m=m)
+        p = len(group)
+        total = observed_collective_cost(
+            network, e.op, p=p, sent=e.sent, received=e.received,
+            max_sent=max(ev.sent for _, ev in group),
+            max_received=max(ev.received for _, ev in group),
+        )
         startup = startup_cost(network, e.op, p=p)
     if total <= 0.0:
         return 1.0

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.cluster.network import NetworkModel
-from repro.dnc.cost import collective_cost
+from repro.dnc.cost import observed_collective_cost
 
 __all__ = [
     "CollectiveSample",
@@ -173,31 +173,17 @@ def _predict_group(
     network: NetworkModel, op: str, group: list[CollectiveSample]
 ) -> float:
     """Table-1 predicted cost, summed over the participating ranks, for
-    one collective invocation. The per-rank byte counters are inverted
-    back to the formula's ``m`` exactly as the communicator derived them
-    (max contribution for gather/scatter/allgather, per-rank totals for
-    the irregular alltoall)."""
+    one collective invocation."""
     p = group[0].p
-    if op == "alltoall":
-        return sum(
-            collective_cost(
-                network, op, p=p, out_bytes=s.sent, in_bytes=s.received
-            )
-            for s in group
+    max_sent = max(s.sent for s in group)
+    max_received = max(s.received for s in group)
+    return sum(
+        observed_collective_cost(
+            network, op, p=p, sent=s.sent, received=s.received,
+            max_sent=max_sent, max_received=max_received,
         )
-    if op == "bcast":
-        m = max(s.received for s in group)
-    elif op == "gather":
-        m = max(s.sent for s in group)
-    elif op == "scatter":
-        m = max(s.received for s in group)
-    elif op in ("allgather", "vote"):
-        m = max(s.sent for s in group) / (p - 1) if p > 1 else 0.0
-    elif op == "barrier":
-        m = 0.0
-    else:  # combines, scans: every rank contributes the reduced vector
-        return sum(collective_cost(network, op, p=p, m=s.sent) for s in group)
-    return len(group) * collective_cost(network, op, p=p, m=m)
+        for s in group
+    )
 
 
 def drift_by_op(

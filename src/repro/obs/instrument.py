@@ -1,24 +1,20 @@
 """Hooks that feed the metrics registry and the health monitor.
 
-:func:`attach_metrics` wraps each rank context the way
-:func:`repro.cluster.trace.attach_tracers` does, but writes structured
-*metrics* instead of an event log:
+:func:`attach_metrics` subscribes one :class:`MetricsRecorder` to each
+rank's event stream (:mod:`repro.cluster.events`), the same ordered
+observer list the tracer and the fault injector use, and writes
+structured *metrics* instead of an event log:
 
-* the communicator is wrapped in :class:`_MeteredComm`, which meters
-  every primitive from :class:`~repro.cluster.stats.RankStats` deltas
-  (bytes, charged transfer time, sync idle) — the byte accounting is
-  therefore exact, never a payload re-walk;
-* the disk's and phase timer's single ``tracer`` sink slots are teed
-  (:class:`_Tee`), so metrics compose with tracing and fault injection;
-* the recorder registers itself as a context *observer*
-  (``ctx.observers``) to receive the driver's frontier notifications
-  (``begin_level`` / ``end_level`` / ``on_survival`` / ...).
+* every communicator primitive arrives as one
+  :class:`~repro.cluster.comm.CommCall` whose byte, charged-seconds and
+  idle counts are :class:`~repro.cluster.stats.RankStats` deltas — exact
+  accounting, never a payload re-walk;
+* disk accesses, closed phases and injected faults arrive on the same
+  list, as do the driver's frontier notifications (``begin_level`` /
+  ``end_level`` / ``on_survival`` / ...).
 
-Composition order matters: attach tracers first, then the fault
-injector, then metrics — the metered wrapper must be outermost so its
-deltas include injected comm perturbations, and it delegates through
-``__getattr__`` (like ``_FaultyComm``) so the inner wrappers keep
-working.
+Because every consumer folds the same events, metrics agree with the
+trace by construction, whatever order they are attached in.
 
 Nothing in this module advances a simulated clock, touches an rng, or
 alters a payload: a metered run is bit-identical (tree *and* elapsed
@@ -27,8 +23,8 @@ time) to an unmetered one.
 
 from __future__ import annotations
 
-from typing import Any
-
+from repro.cluster.comm import CommCall
+from repro.cluster.events import subscribe
 from repro.cluster.machine import RankContext
 
 from .health import OUTSIDE_LEVEL, CollectiveSample, HealthMonitor, LevelSummary
@@ -50,28 +46,6 @@ PHASE_LABELS = {
     "partition": "partition",
     "small_nodes": "small_task",
 }
-
-_COLLECTIVES = (
-    "barrier",
-    "bcast",
-    "scatter",
-    "gather",
-    "allgather",
-    "vote",
-    "reduce",
-    "allreduce",
-    "allreduce_minloc",
-    "allreduce_minloc_many",
-    "scan",
-    "alltoall",
-    "split",
-)
-_P2P = ("send", "recv", "isend")
-
-#: metered ops that never join the drift pool: ``split`` because its
-#: deltas include the nested allgather it performs internally, p2p
-#: because sends and receives legitimately differ across ranks
-_NO_DRIFT = ("split",)
 
 
 def _register_metrics(registry: MetricsRegistry) -> None:
@@ -239,6 +213,9 @@ class MetricsRecorder:
     locking), so there is no synchronisation here.
     """
 
+    #: position in the rank's observer list (after injector and tracer)
+    dispatch_slot = 2
+
     def __init__(
         self,
         ctx: RankContext,
@@ -278,19 +255,11 @@ class MetricsRecorder:
     def _level_label(self) -> str:
         return "-" if self.level is None else str(self.level)
 
-    # -- communicator events (called by _MeteredComm) ------------------------
-    def record_collective(
-        self,
-        label: str,
-        op: str,
-        sent: int,
-        received: int,
-        busy: float,
-        idle: float,
-        duration: float,
-        p: int,
-    ) -> None:
+    # -- communicator events ------------------------------------------------
+    def record_collective(self, call: CommCall) -> None:
         shard = self.shard
+        label, op = call.comm, call.op
+        sent, received = call.sent, call.received
         ck = (label, op, self.level, self._timer.current)
         keys = self._coll_keys.get(ck)
         if keys is None:
@@ -306,43 +275,41 @@ class MetricsRecorder:
                 (rank, op, "received"),
                 (op,),  # histograms
             )
+        duration = call.t_end - call.t_start
         shard.inc("repro_collective_calls_total", keys[0])
         if sent:
             shard.inc("repro_collective_bytes_total", keys[2], sent)
         if received:
             shard.inc("repro_collective_bytes_total", keys[3], received)
-        shard.inc("repro_collective_busy_seconds_total", keys[1], busy)
-        shard.inc("repro_collective_idle_seconds_total", keys[1], idle)
+        shard.inc("repro_collective_busy_seconds_total", keys[1], call.busy)
+        shard.inc("repro_collective_idle_seconds_total", keys[1], call.idle)
         shard.observe("repro_collective_latency_seconds", keys[4], duration)
         shard.observe("repro_collective_payload_bytes", keys[4], max(sent, received))
         seq = self._seq.get(label, 0)
         self._seq[label] = seq + 1
-        if self.monitor is None or op in _NO_DRIFT:
+        if self.monitor is None:
             return
+        sample = CollectiveSample(
+            label, seq, op, self.ctx.rank,
+            OUTSIDE_LEVEL if self.level is None else self.level,
+            sent, received, call.busy, call.idle, duration, call.p,
+        )
         if self.level is None:
-            self._outside_samples.append(
-                CollectiveSample(
-                    label, seq, op, self.ctx.rank, OUTSIDE_LEVEL,
-                    sent, received, busy, idle, duration, p,
-                )
-            )
+            self._outside_samples.append(sample)
         else:
-            self._level_samples.append(
-                CollectiveSample(
-                    label, seq, op, self.ctx.rank, self.level,
-                    sent, received, busy, idle, duration, p,
-                )
+            self._level_samples.append(sample)
+
+    def record_p2p(self, call: CommCall) -> None:
+        rank = self.rank_label
+        self.shard.inc("repro_p2p_messages_total", (rank, call.op))
+        if call.sent:
+            self.shard.inc("repro_p2p_bytes_total", (rank, "sent"), call.sent)
+        if call.received:
+            self.shard.inc(
+                "repro_p2p_bytes_total", (rank, "received"), call.received
             )
 
-    def record_p2p(self, op: str, sent: int, received: int) -> None:
-        rank = self.rank_label
-        self.shard.inc("repro_p2p_messages_total", (rank, op))
-        if sent:
-            self.shard.inc("repro_p2p_bytes_total", (rank, "sent"), sent)
-        if received:
-            self.shard.inc("repro_p2p_bytes_total", (rank, "received"), received)
-
-    # -- disk / timer sinks (teed behind the tracer slot) --------------------
+    # -- disk, phase and fault events ----------------------------------------
     def record_disk(self, op: str, nbytes: int, t_start: float, t_end: float) -> None:
         # the highest-frequency hook (every chunk access); caches the
         # full counter keys and writes the shard's dict directly
@@ -532,127 +499,19 @@ class MetricsRecorder:
             self._outside_samples = []
 
 
-class _Tee:
-    """Fan one event-sink slot (``LocalDisk.tracer`` / ``PhaseTimer.tracer``)
-    out to both the previously attached sink and the recorder."""
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first: Any, second: Any) -> None:
-        self.first = first
-        self.second = second
-
-    def record_disk(self, op: str, nbytes: int, t0: float, t1: float) -> None:
-        self.first.record_disk(op, nbytes, t0, t1)
-        self.second.record_disk(op, nbytes, t0, t1)
-
-    def record_phase(self, name: str, t0: float, t1: float) -> None:
-        self.first.record_phase(name, t0, t1)
-        self.second.record_phase(name, t0, t1)
-
-    def record_fault(self, op: str, t: float) -> None:
-        self.first.record_fault(op, t)
-        self.second.record_fault(op, t)
-
-    def record_prefetch_wait(
-        self, nbytes: int, t0: float, t1: float, saved: float
-    ) -> None:
-        # optional sink hook (only the event tracer implements it today)
-        for sink in (self.first, self.second):
-            fn = getattr(sink, "record_prefetch_wait", None)
-            if fn is not None:
-                fn(nbytes, t0, t1, saved)
-
-
-class _MeteredComm:
-    """Outermost communicator wrapper: meters every primitive from stats
-    deltas and forwards to whatever is underneath (plain ``Comm``,
-    ``_TracingComm``, ``_FaultyComm`` — delegation keeps them all live).
-    """
-
-    def __init__(self, inner: Any, recorder: MetricsRecorder, label: str = "world"):
-        self._inner = inner
-        self._recorder = recorder
-        self._label = label
-        self.rank = inner.rank
-        self.size = inner.size
-
-    def __getattr__(self, name: str) -> Any:
-        attr = getattr(self._inner, name)
-        if name in _COLLECTIVES:
-            attr = self._metered_collective(name, attr)
-        elif name in _P2P:
-            attr = self._metered_p2p(name, attr)
-        else:
-            return attr
-        # memoise the wrapper on the instance so normal attribute lookup
-        # finds it next time: one closure per (comm, primitive), not one
-        # per call
-        setattr(self, name, attr)
-        return attr
-
-    def _metered_collective(self, op: str, fn: Any) -> Any:
-        rec = self._recorder
-        ctx = rec.ctx
-        clock = ctx.clock
-        stats = ctx.stats
-        label = self._label
-
-        def metered(*args: Any, **kwargs: Any):
-            t0 = clock.now
-            s0, r0 = stats.bytes_sent, stats.bytes_received
-            c0, i0 = stats.comm_time, stats.idle_time
-            out = fn(*args, **kwargs)
-            if op == "split":
-                members = ",".join(str(r) for r in out.parent_ranks)
-                out = _MeteredComm(out, rec, label=f"{label}/{members}")
-            rec.record_collective(
-                label,
-                op,
-                stats.bytes_sent - s0,
-                stats.bytes_received - r0,
-                stats.comm_time - c0,
-                stats.idle_time - i0,
-                clock.now - t0,
-                self.size,
-            )
-            return out
-
-        return metered
-
-    def _metered_p2p(self, op: str, fn: Any) -> Any:
-        rec = self._recorder
-        stats = rec.ctx.stats
-
-        def metered(*args: Any, **kwargs: Any):
-            s0, r0 = stats.bytes_sent, stats.bytes_received
-            out = fn(*args, **kwargs)
-            rec.record_p2p(op, stats.bytes_sent - s0, stats.bytes_received - r0)
-            return out
-
-        return metered
-
-
 def attach_metrics(
     contexts: list[RankContext],
     registry: MetricsRegistry | None = None,
     monitor: HealthMonitor | None = None,
 ) -> tuple[MetricsRegistry, list[MetricsRecorder]]:
-    """Instrument every rank context; returns the (shared) registry and
-    the per-rank recorders.
-
-    Attach *after* tracers and the fault injector so the metered wrapper
-    is outermost. Existing disk/timer sinks are teed, not replaced.
-    """
+    """Subscribe a recorder to every rank context; returns the (shared)
+    registry and the per-rank recorders."""
     if registry is None:
         registry = MetricsRegistry()
     _register_metrics(registry)
     recorders: list[MetricsRecorder] = []
     for ctx in contexts:
         rec = MetricsRecorder(ctx, registry.shard(ctx.rank), monitor)
-        ctx.comm = _MeteredComm(ctx.comm, rec)
-        ctx.disk.tracer = rec if ctx.disk.tracer is None else _Tee(ctx.disk.tracer, rec)
-        ctx.timer.tracer = rec if ctx.timer.tracer is None else _Tee(ctx.timer.tracer, rec)
-        ctx.observers.append(rec)
+        subscribe(ctx.observers, rec)
         recorders.append(rec)
     return registry, recorders

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.cluster.clock import SimClock
 from repro.cluster.diskmodel import DiskModel
+from repro.cluster.events import publish
 from repro.cluster.stats import RankStats
 
 from .backend import (
@@ -27,8 +28,9 @@ from .backend import (
 class LocalDisk:
     """Charges simulated time for chunk traffic and tracks volumes.
 
-    When a tracer is attached (``repro.cluster.trace.attach_tracers``),
-    every charged access is also emitted as a ``disk`` trace event.
+    Every charged access is published to the rank's ``observers``
+    (:mod:`repro.cluster.events`) as ``record_disk``; the consumption of
+    an overlapped prefetch as ``record_prefetch_wait``.
 
     Storage integrity: :meth:`store_chunk` / :meth:`fetch_chunk` carry a
     per-chunk CRC32 and retry :class:`TransientDiskError` with bounded
@@ -48,13 +50,14 @@ class LocalDisk:
         clock: SimClock,
         stats: RankStats,
         backend: StorageBackend | None = None,
+        observers: list | None = None,
     ) -> None:
         self.model = model
         self.clock = clock
         self.stats = stats
         self.backend = backend if backend is not None else InMemoryBackend()
-        #: optional event sink with a ``record_disk(op, nbytes, t0, t1)`` method.
-        self.tracer = None
+        #: the owning rank's ordered observer list
+        self.observers = observers if observers is not None else []
         #: optional :class:`~repro.ooc.bufferpool.BufferPool` (see
         #: :meth:`attach_pool`); ``None`` keeps the legacy direct path.
         self.pool = None
@@ -90,8 +93,8 @@ class LocalDisk:
         self.stats.io_time += dt
         self.stats.bytes_read += int(nbytes)
         self.stats.io_calls += 1
-        if self.tracer is not None:
-            self.tracer.record_disk("read", int(nbytes), t0, self.clock.now)
+        if self.observers:
+            publish(self.observers, "record_disk", "read", int(nbytes), t0, self.clock.now)
 
     def charge_write(self, nbytes: int, *, sequential: bool = True) -> None:
         t0 = self.clock.now
@@ -101,8 +104,8 @@ class LocalDisk:
         self.stats.io_time += dt
         self.stats.bytes_written += int(nbytes)
         self.stats.io_calls += 1
-        if self.tracer is not None:
-            self.tracer.record_disk("write", int(nbytes), t0, self.clock.now)
+        if self.observers:
+            publish(self.observers, "record_disk", "write", int(nbytes), t0, self.clock.now)
 
     # -- overlapped prefetch (buffer-pool path) ------------------------------
     def queued_read(self, nbytes: int, *, sequential: bool = True) -> None:
@@ -132,8 +135,8 @@ class LocalDisk:
         start = max(self.clock.now, self.io_front)
         completion = start + dt * self.clock.rate
         self.io_front = completion
-        if self.tracer is not None:
-            self.tracer.record_disk("prefetch", int(nbytes), start, completion)
+        if self.observers:
+            publish(self.observers, "record_disk", "prefetch", int(nbytes), start, completion)
         return completion, completion - start
 
     def complete_prefetch(
@@ -152,15 +155,16 @@ class LocalDisk:
         self.stats.io_overlap_saved += saved
         self.stats.bytes_read += int(nbytes)
         self.stats.io_calls += 1
-        if self.tracer is not None:
+        if self.observers:
             # consumption-time event (the issue-time "prefetch" slice's
             # end goes stale when demand I/O preempts the queue): the
             # residual wait actually paid plus the seconds the overlap
             # hid, so roll-ups can reconcile io_overlap_saved per level
             # and the critical path only ever sees the wait.
-            rec = getattr(self.tracer, "record_prefetch_wait", None)
-            if rec is not None:
-                rec(int(nbytes), t0, self.clock.now, saved)
+            publish(
+                self.observers, "record_prefetch_wait", int(nbytes), t0,
+                self.clock.now, saved,
+            )
         return saved
 
     # -- integrity-checked chunk access -------------------------------------
@@ -212,8 +216,8 @@ class LocalDisk:
         self.clock.advance(delay)
         self.stats.io_time += delay
         self.stats.io_retries += 1
-        if self.tracer is not None:
-            self.tracer.record_disk("retry", int(nbytes), t0, self.clock.now)
+        if self.observers:
+            publish(self.observers, "record_disk", "retry", int(nbytes), t0, self.clock.now)
 
     def close(self) -> None:
         if self.pool is not None:

@@ -9,7 +9,7 @@ import pytest
 from repro.bench.harness import ExperimentConfig, run_pclouds, scaled_models
 from repro.cluster.faults import FaultPlan, SlowRank
 from repro.cluster.tracereport import TraceReport, to_chrome_trace
-from repro.dnc.cost import collective_cost, startup_cost
+from repro.dnc.cost import observed_collective_cost, startup_cost
 from repro.obs.critpath import (
     CATEGORIES,
     CritPathError,
@@ -200,7 +200,7 @@ def test_path_collectives_agree_with_table1_closed_forms(traced_run):
     every collective interval the path can traverse equals the closed
     form — the documented tolerance for the what-if re-pricing is float
     noise, not a model gap."""
-    from repro.obs.critpath import _collective_m, _timeline
+    from repro.obs.critpath import _timeline
 
     cfg, res = traced_run
     network = scaled_models(cfg.scale)[0]
@@ -214,20 +214,13 @@ def test_path_collectives_agree_with_table1_closed_forms(traced_run):
             if g is None or id(g[0][1]) in seen:
                 continue
             seen.add(id(g[0][1]))
-            if e.op == "split":  # nested allgather carries the cost
-                continue
             t_sync = max(ev.t_start for _, ev in g)
             observed = e.t_end - t_sync
-            p = len(g)
-            if e.op == "alltoall":
-                predicted = collective_cost(
-                    network, e.op, p=p,
-                    out_bytes=float(e.sent), in_bytes=float(e.received),
-                )
-            else:
-                predicted = collective_cost(
-                    network, e.op, p=p, m=_collective_m(e.op, g, e)
-                )
+            predicted = observed_collective_cost(
+                network, e.op, p=len(g), sent=e.sent, received=e.received,
+                max_sent=max(ev.sent for _, ev in g),
+                max_received=max(ev.received for _, ev in g),
+            )
             assert observed == pytest.approx(predicted, rel=1e-9)
             checked += 1
     assert checked > 10

@@ -1,0 +1,172 @@
+"""One event source: the tracer, the metrics registry, the health drift
+and the fault log fold the same per-rank event stream, so they agree
+with each other and with RankStats by construction."""
+
+from collections import defaultdict
+
+import numpy as np
+import pytest
+
+from repro.clouds import CloudsConfig
+from repro.cluster import FaultInjector, standard_plans
+from repro.cluster.trace import attach_tracers
+from repro.core import DistributedDataset, PClouds, PCloudsConfig
+from repro.data import generate_quest, quest_schema
+from repro.forest import ForestConfig, PForest
+from repro.obs.instrument import attach_metrics
+
+from conftest import make_cluster
+
+EXCHANGES = ("attribute", "distributed", "voting", "allreduce")
+
+
+@pytest.fixture(scope="module")
+def quest():
+    return generate_quest(1500, function=2, seed=3, noise=0.02)
+
+
+def dataset(quest, p=4, **cluster_kwargs):
+    cols, labels = quest
+    cluster = make_cluster(p, **cluster_kwargs)
+    return DistributedDataset.create(cluster, quest_schema(), cols, labels, seed=1)
+
+
+def totals(registry, name, *positions):
+    """Sum a metric family's merged samples over the label positions kept."""
+    out = defaultdict(float)
+    for s in registry.merged()[name]:
+        out[tuple(s.labels[i] for i in positions)] += s.value
+    return out
+
+
+def fault_views(res):
+    """(injector log, trace fault events, repro_faults_total) counts."""
+    traced = sum(len(t.fault_events()) for t in res.tracers)
+    metered = sum(totals(res.metrics, "repro_faults_total").values())
+    return len(res.fault_events), traced, metered
+
+
+def assert_views_agree(res, contexts, stats0):
+    reg = res.metrics
+    coll = totals(reg, "repro_collective_bytes_total", 0, 2)
+    p2p = totals(reg, "repro_p2p_bytes_total", 0, 1)
+    for tracer, ctx, (sent0, received0) in zip(res.tracers, contexts, stats0):
+        rank = str(tracer.rank)
+        comm = tracer.comm_events()
+        for direction, traced, delta in (
+            ("sent", sum(e.sent for e in comm), ctx.stats.bytes_sent - sent0),
+            (
+                "received",
+                sum(e.received for e in comm),
+                ctx.stats.bytes_received - received0,
+            ),
+        ):
+            metered = coll[(rank, direction)] + p2p[(rank, direction)]
+            assert traced == metered == delta, (rank, direction)
+
+    calls = defaultdict(int)
+    disk = defaultdict(int)
+    for tracer in res.tracers:
+        for e in tracer.schedule():
+            calls[e] += 1
+        for e in tracer.disk_events():
+            if e.op in ("read", "write", "prefetch"):
+                disk[e.op] += e.nbytes
+    metered_calls = totals(reg, "repro_collective_calls_total", 2)
+    assert {op: int(v) for (op,), v in metered_calls.items()} == dict(calls)
+    metered_disk = totals(reg, "repro_disk_bytes_total", 1)
+    assert {op: int(v) for (op,), v in metered_disk.items() if v} == {
+        op: v for op, v in disk.items() if v
+    }
+
+    drift = res.health.drift_ops
+    assert drift
+    for op, (observed, predicted) in drift.items():
+        assert observed / predicted == pytest.approx(1.0, abs=1e-9), op
+
+
+@pytest.mark.parametrize("method", ["ss", "sse"])
+@pytest.mark.parametrize("exchange", EXCHANGES)
+def test_trace_metrics_and_stats_agree_on_a_fit(quest, exchange, method):
+    ds = dataset(quest, memory_limit=64 * 1024, buffer_pool="lru+prefetch")
+    stats0 = [(c.stats.bytes_sent, c.stats.bytes_received) for c in ds.contexts]
+    cfg = PCloudsConfig(
+        clouds=CloudsConfig(method=method, q_root=60, sample_size=400, min_node=8),
+        q_switch=8,
+        exchange=exchange,
+        vote_top_k=2,
+    )
+    res = PClouds(cfg).fit(ds, seed=2, trace=True, metrics=True)
+    assert_views_agree(res, ds.contexts, stats0)
+
+
+def test_trace_metrics_and_stats_agree_on_a_split_forest(quest):
+    ds = dataset(quest, buffer_pool="lru+prefetch")
+    stats0 = [(c.stats.bytes_sent, c.stats.bytes_received) for c in ds.contexts]
+    cfg = ForestConfig(
+        n_trees=2,
+        pclouds=PCloudsConfig(
+            clouds=CloudsConfig(q_root=40, sample_size=200, min_node=16),
+            q_switch=8,
+        ),
+        regime="tree",
+    )
+    res = PForest(cfg).fit(ds, seed=5, trace=True, metrics=True)
+    assert "split" in res.tracers[0].schedule()
+    assert "split" in res.health.drift_ops
+    assert_views_agree(res, ds.contexts, stats0)
+
+
+def test_irecv_bytes_reach_metrics():
+    """A receive completed by ``irecv().wait()`` is one ``recv`` event for
+    every observer, so metrics count its bytes like the trace does."""
+    c = make_cluster(2)
+    ctxs = c.make_contexts()
+    tracers = attach_tracers(ctxs)
+    registry, _ = attach_metrics(ctxs)
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            ctx.comm.send(np.zeros(100), dst=1)
+            ctx.comm.isend(np.zeros(50), dst=1).wait()
+        else:
+            ctx.comm.recv(src=0)
+            ctx.comm.irecv(src=0).wait()
+
+    c.run(prog, contexts=ctxs)
+    p2p = totals(registry, "repro_p2p_bytes_total", 0, 1)
+    for tracer, ctx in zip(tracers, ctxs):
+        rank = str(ctx.rank)
+        comm = tracer.comm_events()
+        assert p2p[(rank, "sent")] == sum(e.sent for e in comm) == ctx.stats.bytes_sent
+        assert (
+            p2p[(rank, "received")]
+            == sum(e.received for e in comm)
+            == ctx.stats.bytes_received
+        )
+    assert ctxs[1].stats.bytes_received == 1200
+    assert [e.op for e in tracers[1].comm_events()] == ["recv", "recv"]
+
+
+@pytest.mark.parametrize("plan", standard_plans(2), ids=lambda p: p.name)
+def test_fault_views_agree(quest, plan):
+    """Injector log, trace fault events and repro_faults_total count the
+    same faults — the straggler included: it fires as the first attempt
+    begins, when every observer has subscribed."""
+    ds = dataset(quest, p=2)
+    res = PClouds().fit(
+        ds, seed=2, faults=plan, recover=True, trace=True, metrics=True
+    )
+    injector, traced, metered = fault_views(res)
+    assert injector >= 1
+    assert injector == traced == metered
+
+
+def test_dispatch_order_is_fixed_whatever_the_attach_order():
+    ctxs = make_cluster(2).make_contexts()
+    _, recorders = attach_metrics(ctxs)
+    tracers = attach_tracers(ctxs)
+    FaultInjector([]).attach(ctxs)
+    kinds = [type(o).__name__ for o in ctxs[0].observers]
+    assert kinds == ["_RankFaults", "Tracer", "MetricsRecorder"]
+    assert ctxs[0].observers[1:] == [tracers[0], recorders[0]]

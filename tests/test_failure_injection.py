@@ -45,6 +45,25 @@ class TestAbortPropagation:
             c.run(prog)
         assert e.value.rank == 3
 
+    def test_crash_right_after_a_collective_lets_peers_complete_it(self):
+        """A rank that crashes the moment it leaves a collective must not
+        abort peers still waking inside it: every rank had arrived, so
+        each completes the collective whatever the host scheduling."""
+        for _ in range(20):
+            completed = []
+
+            def prog(ctx):
+                ctx.comm.barrier()
+                if ctx.rank == 1:
+                    raise RuntimeError("dies right after the barrier")
+                completed.append(ctx.rank)
+                ctx.comm.barrier()
+
+            with pytest.raises(SpmdProgramError) as e:
+                make_cluster(3, timeout=10.0).run(prog)
+            assert e.value.rank == 1
+            assert sorted(completed) == [0, 2]
+
     def test_first_failing_rank_reported(self):
         c = make_cluster(4, timeout=10.0)
 

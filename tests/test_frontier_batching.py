@@ -241,7 +241,7 @@ class TestCollectiveCounts:
         """Collective counts per frontier level, from rank-0's trace:
         each level opens with a "stats" phase, the large-node loop ends
         where "small_nodes" begins."""
-        from repro.cluster.trace import _P2P_OPS
+        from repro.cluster.comm import P2P_OPS
 
         phases = [e for e in tracer.events if e.kind == "phase"]
         starts = [e.t_start for e in phases if e.op == "stats"]
@@ -252,7 +252,7 @@ class TestCollectiveCounts:
             sum(
                 1
                 for e in tracer.events
-                if e.kind == "comm" and e.op not in _P2P_OPS
+                if e.kind == "comm" and e.op not in P2P_OPS
                 and w0 <= e.t_start < w1
             )
             for w0, w1 in windows

@@ -1,15 +1,8 @@
-"""Rank statistics aggregation and hypercube topology helpers."""
+"""Rank statistics aggregation."""
 
 import pytest
 
 from repro.cluster.stats import RankStats, RunStats
-from repro.cluster.topology import (
-    hamming_distance,
-    hypercube_dimension,
-    is_power_of_two,
-    neighbours,
-    subcube_partition,
-)
 
 
 class TestRankStats:
@@ -48,46 +41,3 @@ class TestRankStats:
     def test_imbalance_all_zero_is_one(self):
         run = RunStats(per_rank=[RankStats(), RankStats()])
         assert run.imbalance("io_time") == 1.0
-
-
-class TestTopology:
-    def test_dimension(self):
-        assert hypercube_dimension(1) == 0
-        assert hypercube_dimension(2) == 1
-        assert hypercube_dimension(16) == 4
-        assert hypercube_dimension(9) == 4
-
-    def test_power_of_two(self):
-        assert is_power_of_two(1) and is_power_of_two(16)
-        assert not is_power_of_two(0) and not is_power_of_two(12)
-
-    def test_neighbours_of_origin(self):
-        assert sorted(neighbours(0, 8)) == [1, 2, 4]
-
-    def test_neighbours_are_symmetric(self):
-        p = 16
-        for r in range(p):
-            for nb in neighbours(r, p):
-                assert r in neighbours(nb, p)
-
-    def test_neighbours_rejects_non_power(self):
-        with pytest.raises(ValueError):
-            neighbours(0, 6)
-
-    def test_neighbours_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            neighbours(8, 8)
-
-    def test_hamming_distance(self):
-        assert hamming_distance(0, 0) == 0
-        assert hamming_distance(0b101, 0b010) == 3
-
-    def test_subcube_partition_covers_all_ranks(self):
-        groups = subcube_partition(16, 3)
-        flat = [r for g in groups for r in g]
-        assert flat == list(range(16))
-        assert max(len(g) for g in groups) - min(len(g) for g in groups) <= 1
-
-    def test_subcube_partition_rejects_too_many_groups(self):
-        with pytest.raises(ValueError):
-            subcube_partition(4, 5)

@@ -223,7 +223,7 @@ def test_split_returns_traced_subcommunicator():
     c.run(prog, contexts=ctxs)
     assert_schedules_match(tracers)
     by_comm = tracers[0].schedules_by_comm()
-    assert by_comm["world"] == ["allgather", "split", "barrier"]
+    assert by_comm["world"] == ["split", "barrier"]
     (sub_label,) = [k for k in by_comm if k != "world"]
     assert sub_label == "world/0,2"
     assert by_comm[sub_label] == ["allreduce", "allreduce"]
