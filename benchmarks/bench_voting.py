@@ -17,7 +17,8 @@ Run standalone (CI smoke uses ``--quick``)::
 
 Exits non-zero if voting at k=8 fails to cut the exchanged stats bytes
 at least 2x vs ``exchange="attribute"`` at f=64, or if voting with
-k >= f is not bit-identical to the attribute strategy.
+k >= f is not the attribute strategy: the same tree, the same simulated
+elapsed time and the same traced stats bytes (no vote is held).
 """
 
 from __future__ import annotations
@@ -124,7 +125,12 @@ def main(argv: list[str] | None = None) -> int:
             )
             trees = {name: r.pop("_tree") for name, r in runs.items()}
 
-            identical = trees["voting_exact"] == trees["attribute"]
+            identical = (
+                trees["voting_exact"] == trees["attribute"]
+                and runs["voting_exact"]["elapsed"] == runs["attribute"]["elapsed"]
+                and runs["voting_exact"]["stats_bytes"]
+                == runs["attribute"]["stats_bytes"]
+            )
             reduction = (
                 runs["attribute"]["stats_bytes"]
                 / max(runs[f"voting_k{TOP_K}"]["stats_bytes"], 1)
@@ -156,8 +162,8 @@ def main(argv: list[str] | None = None) -> int:
             where = f"f={f} p={p}"
             if not identical:
                 failures.append(
-                    f"{where}: voting k={f} (k>=f) tree differs from "
-                    "the attribute strategy"
+                    f"{where}: voting k={f} (k>=f) differs from the "
+                    "attribute strategy in tree, elapsed or stats bytes"
                 )
             if f == 64 and reduction < 2.0:
                 failures.append(

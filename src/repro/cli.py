@@ -63,6 +63,16 @@ def _save_dataset(path: str, columns: dict[str, np.ndarray], labels: np.ndarray)
     np.savez_compressed(path, labels=labels, **columns)
 
 
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The synthetic single-tree fit that ``trace``, ``health`` and
+    ``critpath`` run."""
+    return ExperimentConfig(
+        n_records=args.records, n_ranks=args.ranks, scale=args.scale,
+        seed=args.seed, buffer_pool=args.buffer_pool,
+        exchange=args.exchange, vote_top_k=args.vote_top_k,
+    )
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -271,11 +281,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.cluster.trace import assert_schedules_match
     from repro.cluster.tracereport import write_chrome_trace
 
-    cfg = ExperimentConfig(
-        n_records=args.records, n_ranks=args.ranks, scale=args.scale,
-        seed=args.seed, buffer_pool=args.buffer_pool,
-        exchange=args.exchange, vote_top_k=args.vote_top_k,
-    )
+    cfg = _experiment_config(args)
     res = run_pclouds(cfg, trace=True)
     assert_schedules_match(res.tracers)
     report = res.trace_report()
@@ -406,11 +412,7 @@ def cmd_health(args: argparse.Namespace) -> int:
         drift_low=args.drift_low,
         drift_high=args.drift_high,
     )
-    cfg = ExperimentConfig(
-        n_records=args.records, n_ranks=args.ranks, scale=args.scale,
-        seed=args.seed, buffer_pool=args.buffer_pool,
-        exchange=args.exchange, vote_top_k=args.vote_top_k,
-    )
+    cfg = _experiment_config(args)
     pc_result = run_pclouds(cfg, metrics=True, health=thresholds)
     print(render_health_markdown(
         pc_result.health,
@@ -511,11 +513,7 @@ def cmd_critpath(args: argparse.Namespace) -> int:
         voting_payload_ratio,
     )
 
-    cfg = ExperimentConfig(
-        n_records=args.records, n_ranks=args.ranks, scale=args.scale,
-        seed=args.seed, buffer_pool=args.buffer_pool,
-        exchange=args.exchange, vote_top_k=args.vote_top_k,
-    )
+    cfg = _experiment_config(args)
     res = run_pclouds(cfg, trace=True, metrics=True)
     network = scaled_models(cfg.scale)[0]
     path = build_critical_path(res.tracers, network, elapsed=res.elapsed)
@@ -584,6 +582,25 @@ def cmd_critpath(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _add_fit_options(parser: argparse.ArgumentParser, scope: str = "") -> None:
+    """The options every fitting subcommand shares: the buffer-pool mode
+    and the statistics exchange."""
+    parser.add_argument(
+        "--buffer-pool", default="lru+prefetch",
+        choices=list(Cluster.BUFFER_POOL_MODES),
+        help="out-of-core chunk cache mode",
+    )
+    parser.add_argument(
+        "--exchange", default="attribute", choices=list(EXCHANGE_STRATEGIES),
+        help=f"{scope}statistics-exchange strategy",
+    )
+    parser.add_argument(
+        "--vote-top-k", type=int, default=8,
+        help="voting exchange: attributes each rank nominates (k >= the "
+        "attribute count holds no vote and runs the attribute method)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -614,19 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--min-node", type=int, default=16)
     t.add_argument("--purity", type=float, default=1.0)
     t.add_argument("--memory-limit", type=int, default=None, help="bytes per rank")
-    t.add_argument(
-        "--buffer-pool", default="lru+prefetch",
-        choices=list(Cluster.BUFFER_POOL_MODES),
-        help="out-of-core chunk cache mode",
-    )
-    t.add_argument(
-        "--exchange", default="attribute", choices=list(EXCHANGE_STRATEGIES),
-        help="pclouds: statistics-exchange strategy",
-    )
-    t.add_argument(
-        "--vote-top-k", type=int, default=8,
-        help="voting exchange: attributes each rank nominates",
-    )
+    _add_fit_options(t, scope="pclouds: ")
     t.add_argument("--scale", type=float, default=100.0, help="cost-model scale")
     t.add_argument("--prune", action="store_true", help="MDL-prune after fitting")
     t.add_argument("--seed", type=int, default=0)
@@ -683,19 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--ranks", type=int, default=4)
     tr.add_argument("--scale", type=float, default=200.0, help="cost-model scale")
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument(
-        "--buffer-pool", default="lru+prefetch",
-        choices=list(Cluster.BUFFER_POOL_MODES),
-        help="out-of-core chunk cache mode",
-    )
-    tr.add_argument(
-        "--exchange", default="attribute", choices=list(EXCHANGE_STRATEGIES),
-        help="statistics-exchange strategy",
-    )
-    tr.add_argument(
-        "--vote-top-k", type=int, default=8,
-        help="voting exchange: attributes each rank nominates",
-    )
+    _add_fit_options(tr)
     tr.add_argument("--out", help="write Chrome-trace/Perfetto JSON here")
     tr.set_defaults(func=cmd_trace)
 
@@ -725,19 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--ranks", type=int, default=8)
     h.add_argument("--scale", type=float, default=200.0, help="cost-model scale")
     h.add_argument("--seed", type=int, default=0)
-    h.add_argument(
-        "--buffer-pool", default="lru+prefetch",
-        choices=list(Cluster.BUFFER_POOL_MODES),
-        help="out-of-core chunk cache mode",
-    )
-    h.add_argument(
-        "--exchange", default="attribute", choices=list(EXCHANGE_STRATEGIES),
-        help="statistics-exchange strategy",
-    )
-    h.add_argument(
-        "--vote-top-k", type=int, default=8,
-        help="voting exchange: attributes each rank nominates",
-    )
+    _add_fit_options(h)
     h.add_argument(
         "--imbalance", type=float, default=2.0,
         help="alert when a level's max/mean busy ratio exceeds this",
@@ -782,19 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="buffer-pool capacity as a multiple of the memory limit "
         "(default: auto-size the pool to the shared working set)",
     )
-    f.add_argument(
-        "--buffer-pool", default="lru+prefetch",
-        choices=list(Cluster.BUFFER_POOL_MODES),
-        help="out-of-core chunk cache mode",
-    )
-    f.add_argument(
-        "--exchange", default="attribute", choices=list(EXCHANGE_STRATEGIES),
-        help="statistics-exchange strategy",
-    )
-    f.add_argument(
-        "--vote-top-k", type=int, default=8,
-        help="voting exchange: attributes each rank nominates",
-    )
+    _add_fit_options(f)
     f.add_argument("--scale", type=float, default=100.0, help="cost-model scale")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--forest-out", help="write the fitted forest as JSON")
@@ -813,19 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--ranks", type=int, default=4)
     cp.add_argument("--scale", type=float, default=200.0, help="cost-model scale")
     cp.add_argument("--seed", type=int, default=0)
-    cp.add_argument(
-        "--buffer-pool", default="lru+prefetch",
-        choices=list(Cluster.BUFFER_POOL_MODES),
-        help="out-of-core chunk cache mode",
-    )
-    cp.add_argument(
-        "--exchange", default="attribute", choices=list(EXCHANGE_STRATEGIES),
-        help="statistics-exchange strategy",
-    )
-    cp.add_argument(
-        "--vote-top-k", type=int, default=8,
-        help="voting exchange: attributes each rank nominates",
-    )
+    _add_fit_options(cp)
     cp.add_argument(
         "--what-if", action="store_true",
         help="include bounded counterfactual speedups (Table-1 closed forms)",

@@ -35,6 +35,11 @@ class NumericStats:
     hist: np.ndarray  # (q, c) int64
     vmin: np.ndarray | None = None  # (q,) float64, +inf where empty
     vmax: np.ndarray | None = None  # (q,) float64, -inf where empty
+    #: when ``hist`` holds one contiguous block of the attribute's
+    #: intervals (a distributed-exchange owner's share): the index of its
+    #: first interval, and the class counts of the intervals left of it
+    lo: int = 0
+    base: np.ndarray | None = None  # (c,) int64; None means zero
 
     def __post_init__(self) -> None:
         q = self.hist.shape[0]
@@ -57,10 +62,13 @@ class NumericStats:
         return np.cumsum(self.hist, axis=0)[:-1]
 
     def left_of_interval(self) -> np.ndarray:
-        """Class counts strictly left of each interval (row i = sum of
-        intervals 0..i-1); row 0 is zero."""
+        """Class counts strictly left of each interval of ``hist`` (row i
+        = ``base`` + rows 0..i-1); row 0 is ``base``, zero for a whole
+        attribute."""
         out = np.zeros_like(self.hist)
         np.cumsum(self.hist[:-1], axis=0, out=out[1:])
+        if self.base is not None:
+            out += self.base
         return out
 
 

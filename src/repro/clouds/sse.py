@@ -60,11 +60,17 @@ def determine_alive_intervals(
     """All intervals with ``gini_est < gini_min`` (Section 5.1.2).
 
     Deterministic given the statistics, so with replicated statistics
-    every processor derives the identical alive list locally.
+    every processor derives the identical alive list locally. An owner
+    in the parallel exchange passes only what it holds: attributes
+    missing from ``stats`` are skipped, and a block of intervals
+    (:attr:`NumericStats.lo`, :attr:`NumericStats.base`) keeps its
+    whole-attribute interval numbers and left counts.
     """
     alive: list[AliveInterval] = []
     for a in schema.numeric:
-        ns = stats.numeric[a.name]
+        ns = stats.numeric.get(a.name)
+        if ns is None:
+            continue  # held by another owner
         left = ns.left_of_interval()
         hist = ns.hist
         b = ns.boundaries
@@ -75,12 +81,13 @@ def determine_alive_intervals(
                 continue  # fewer than two distinct values: no interior split
             est = gini_lower_bound(left[i], hist[i], stats.total)
             if est < gini_min:
+                idx = ns.lo + i
                 alive.append(
                     AliveInterval(
                         attribute=a.name,
-                        index=i,
-                        lo=float(b[i - 1]) if i > 0 else -np.inf,
-                        hi=float(b[i]) if i < len(b) else np.inf,
+                        index=idx,
+                        lo=float(b[idx - 1]) if idx > 0 else -np.inf,
+                        hi=float(b[idx]) if idx < len(b) else np.inf,
                         left_cum=left[i].astype(np.float64),
                         count=count,
                         gini_est=float(est),

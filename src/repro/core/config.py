@@ -44,12 +44,16 @@ class PCloudsConfig:
     candidates, and only the elected attributes' statistics are
     exchanged — shrinking the per-level stats payload from
     O(attributes) to O(k). Voting is an **approximation**: the elected
-    set can miss the true global-best attribute, so it is opt-in; with
-    ``vote_top_k >= n_attributes`` every attribute is elected and the
-    tree is bit-identical to ``"attribute"``.
+    set can miss the true global-best attribute, so it is opt-in. With
+    ``vote_top_k >= n_attributes`` every attribute would be elected, so
+    no vote is held: the exchange *is* ``"attribute"``, with the same
+    tree, simulated time and traffic. The three owner-side strategies
+    (attribute, voting, distributed) share one code path and differ
+    only in who owns which statistics.
 
     ``vote_top_k`` — nominations per rank for ``exchange="voting"``
-    (ignored by the exact strategies).
+    (ignored by the exact strategies; at or above the attribute count,
+    voting runs the attribute method).
 
     ``frontier_batching`` — accepts only ``"level"``, the one driver:
     each breadth-first frontier level's large nodes run in consecutive

@@ -477,7 +477,7 @@ def fit_tree_program(
     q_switch = (
         auto_q_switch(
             schema, cfg, ctx.comm._world.network, ctx.disk.model,
-            ctx.compute, ctx.size, n_total, memory_limit=ctx.memory.limit,
+            ctx.compute, ctx.size, n_total,
         )
         if config.q_switch == "auto"
         else config.q_switch
@@ -528,12 +528,16 @@ def fit_tree_program(
             )
         if ctx.observers:
             # live bytes at level start feed the I/O-amplification
-            # indicator; checkpoint traffic (above) stays outside the level
+            # indicator; checkpoint traffic (above) stays outside the level.
+            # The communicator names the rank group the tree is fitted
+            # over, so health compares each level among those ranks
             ctx.notify(
                 "begin_level",
                 level,
                 len(frontier),
                 sum(t.columnset.nbytes for t in frontier),
+                ctx.comm.label,
+                ctx.size,
             )
         survival_mark = len(survival)
         frontier, n_processed = _process_level(

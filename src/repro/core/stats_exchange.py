@@ -1,43 +1,46 @@
 """Evaluation of interval boundaries for numeric attributes, in parallel
 (Section 5.1.1).
 
-The paper implements the **replication method** with the
-**attribute-based approach**: the global class-frequency vectors of each
-attribute are assembled at exactly one owner processor; the owner runs the
-(purely local) prefix sum over its boundaries, evaluates the gini at each
-boundary, and the global minimum gini is elected with a min-reduction.
-Categorical count matrices travel to owners the same way. With SSE, each
-owner then determines the alive intervals of its attributes locally and
-the statuses are broadcast to everyone (one allgather).
+Three strategies share one **owner-side exchange**. Each rank ships the
+statistics it holds to their owners in one alltoall; each owner combines
+what it owns, sweeps the boundaries and scores its categorical
+attributes; one min-reduction elects every node's split. With SSE each
+owner then determines the alive intervals of what it owns, and one
+allgather replicates them. The strategies differ only in who owns what:
 
-The naive variant (``exchange="allreduce"``) replicates *all* global
-vectors on every processor via one global combine — simpler, but it moves
-O(q·c·f) bytes through the reduction instead of O(q·c·f/p) per processor
-and repeats the sweep p times; the ablation bench quantifies the gap.
+* **attribute** — the paper's replication method with the
+  attribute-based approach: attribute ``i`` of the schema goes whole to
+  :func:`attribute_owner` ``(i, p)``.
+* **voting** — the PV-Tree communication shrink (Meng & Ke et al. 2016):
+  every processor sweeps its *own* statistics and nominates its top-k
+  attributes by local best gini in one small ballot collective
+  (:meth:`~repro.cluster.comm.Comm.vote`). A deterministic merge
+  election, replicated on every rank from the identical gathered
+  ballots, picks at most 2k candidates per node, and the attribute
+  method runs over them: the i-th elected attribute goes to
+  ``attribute_owner(i, p)``. That cuts the dominant O(q·c·f) payload to
+  O(q·c·k). Voting is an **approximation**: a globally best attribute
+  that no rank nominated cannot win. With ``vote_top_k >= f`` every
+  rank would nominate every attribute and all would be elected, so no
+  vote is held — the exchange *is* the attribute method, with the same
+  tree, time and traffic.
+* **distributed** — the paper's other alternative: every numeric
+  attribute is cut into one contiguous block of intervals per rank
+  (:func:`_interval_block`; the random-access-write pattern of Bae's
+  runtime the paper cites), so the per-owner storage is O(q·c·f/p) even
+  when f < p. The class counts left of a block are no longer local; one
+  parallel prefix sum (Table 1's primitive) over the owners' block
+  totals recovers them. Categorical attributes go whole to their
+  attribute owners. The paper chose replication for its simplicity and
+  lower communication; this implementation makes that trade-off
+  measurable.
 
-The **distributed method** (``exchange="distributed"``) is the paper's
-other alternative: instead of whole attributes, individual *intervals*
-are assigned to owners (the random-access-write pattern of Bae's runtime
-the paper cites), so the per-owner storage is O(q·c·f/p) even when
-f < p. The cumulative class counts an owner needs for its boundaries are
-no longer local — they are recovered with one parallel prefix sum
-(Table 1's primitive) over the per-rank partial sums. The paper chose
-replication for its simplicity and lower communication; this
-implementation makes that trade-off measurable.
-
-The **top-k voting method** (``exchange="voting"``) is the PV-Tree
-communication shrink (Meng & Ke et al. 2016) layered on the
-attribute-based machinery: every processor sweeps its *own* local
-statistics, nominates its top-k attributes by local best gini in one
-small ballot collective (:meth:`~repro.cluster.comm.Comm.vote`), and a
-deterministic merge election — replicated on every rank from the
-identical gathered ballots — picks at most 2k global candidates. Only
-the elected attributes' statistics then travel through the
-attribute-owner alltoall, cutting the dominant O(q·c·f) payload of the
-exact strategies to O(q·c·k). Voting is an **approximation**: a
-globally best attribute that no rank nominated cannot win. With
-``vote_top_k >= n_attributes`` every attribute is elected and the
-result is bit-identical to ``exchange="attribute"``.
+The naive variant (``exchange="allreduce"``) has no owners: it
+replicates *all* global vectors on every processor via one global
+combine and runs sequential CLOUDS on them — simpler, but it moves
+O(q·c·f) bytes through the reduction instead of O(q·c·f/p) per
+processor and repeats the sweep p times; the ablation bench quantifies
+the gap.
 
 Every strategy exchanges a *batch* of large nodes in one set of
 collectives (:func:`exchange_level_stats`); the driver cuts each frontier
@@ -69,27 +72,11 @@ def attribute_owner(attr_index: int, n_ranks: int) -> int:
     return attr_index % n_ranks
 
 
-def _owned_attributes(attrs: Sequence[Attribute], rank: int, size: int) -> list[str]:
-    """Names this rank owns among ``attrs`` — ownership is positional
-    within the list, so a restricted candidate list (the voting path)
-    round-robins its members over the ranks the same way the full
-    schema does."""
-    return [
-        a.name for i, a in enumerate(attrs) if attribute_owner(i, size) == rank
-    ]
-
-
-def _best_boundary_split_of(
-    name: str, boundaries: np.ndarray, hist: np.ndarray, total: np.ndarray
-) -> Split | None:
-    """Owner-side boundary sweep of one numeric attribute's full
-    histogram — the whole-attribute form of the shared block sweep
-    (``lo = 0``, cumulative counts from the histogram itself)."""
-    if boundaries.size == 0:
-        return None
-    return _best_block_boundary_split(
-        name, boundaries, 0, np.cumsum(hist, axis=0)[:-1], total
-    )
+def _interval_block(q: int, size: int, rank: int) -> tuple[int, int]:
+    """Contiguous block of interval indices owned by ``rank`` under the
+    distributed method (contiguity is what lets one prefix sum recover
+    the cumulative counts)."""
+    return rank * q // size, (rank + 1) * q // size
 
 
 def _best_block_boundary_split(
@@ -99,15 +86,13 @@ def _best_block_boundary_split(
     cum: np.ndarray,
     total_counts: np.ndarray,
 ) -> Split | None:
-    """The shared owner-side boundary sweep: gini over one block of
-    cumulative counts, where interval row ``i`` closes boundary
-    ``lo + i``. All three sweep call sites — whole-attribute owners
-    (via :func:`_best_boundary_split_of`), the distributed method's
-    interval blocks, and the voting path's local nomination scorer —
-    reduce to this form. Ties resolve to the smallest row index, i.e.
-    the smallest threshold — exactly what a sequential scan with the
-    split order-key tiebreak picks, since the boundaries are sorted
-    ascending."""
+    """The boundary sweep: gini over one block of cumulative counts,
+    where row ``i`` closes boundary ``lo + i`` (the attribute's last
+    interval closes none). Owners sweep what they own with it, and the
+    voting path scores each rank's local statistics with it. Ties
+    resolve to the smallest row index, i.e. the smallest threshold —
+    exactly what a sequential scan with the split order-key tiebreak
+    picks, since the boundaries are sorted ascending."""
     if cum.shape[0] == 0:
         return None
     total = np.asarray(total_counts, dtype=np.float64)
@@ -124,6 +109,35 @@ def _best_block_boundary_split(
         kind=NUMERIC_SPLIT,
         gini=float(ginis[k]),
         threshold=float(bounds[lo + k]),
+    )
+
+
+def _candidate(
+    ctx: RankContext,
+    schema: Schema,
+    stats: NodeStats,
+    name: str,
+    total_counts: np.ndarray,
+    config: PCloudsConfig,
+) -> Split | None:
+    """An owner's best split on one attribute it holds: the boundary
+    sweep of a numeric block, or the subset search of a categorical
+    count matrix. Exact gini ties go to the smaller order key, as in the
+    sequential sweep."""
+    if name in stats.numeric:
+        ns = stats.numeric[name]
+        ctx.charge_compute(ops=3 * ns.hist.size)
+        return _best_block_boundary_split(
+            name, ns.boundaries, ns.lo, ns.left_of_interval() + ns.hist,
+            total_counts,
+        )
+    matrix = stats.categorical[name]
+    res = best_categorical_split(matrix, config.clouds.enumerate_limit)
+    ctx.charge_compute(ops=matrix.size * schema.attribute(name).cardinality)
+    if res is None:
+        return None
+    return Split(
+        attribute=name, kind=CATEGORICAL_SPLIT, gini=res[0], left_codes=res[1]
     )
 
 
@@ -153,13 +167,16 @@ def exchange_level_stats(
     if not locals_list:
         return []
     ctx.notify("on_stats_exchange", config.exchange, len(locals_list))
-    if config.exchange == "attribute":
-        return _exchange_attribute(ctx, schema, locals_list, counts_list, config)
-    if config.exchange == "distributed":
-        return _exchange_distributed(ctx, schema, locals_list, counts_list, config)
-    if config.exchange == "voting":
-        return _exchange_voting(ctx, schema, locals_list, counts_list, config)
-    return _exchange_allreduce(ctx, schema, locals_list, counts_list, config)
+    if config.exchange == "allreduce":
+        return _exchange_allreduce(ctx, schema, locals_list, counts_list, config)
+    attrs_list: list[Sequence[Attribute]] = [schema.attributes] * len(locals_list)
+    # with k >= f every rank would nominate every attribute and all would
+    # be elected: no vote, the attribute method
+    if config.exchange == "voting" and config.vote_top_k < len(schema.attributes):
+        attrs_list = _vote(ctx, schema, locals_list, config)
+    return _exchange_owned(
+        ctx, schema, locals_list, counts_list, config, attrs_list
+    )
 
 
 def exchange_node_stats(
@@ -173,34 +190,46 @@ def exchange_node_stats(
     return exchange_level_stats(ctx, schema, [local], [total_counts], config)[0]
 
 
-def _exchange_attribute(
+def _exchange_owned(
     ctx: RankContext,
     schema: Schema,
     locals_list: list[NodeStats],
     counts_list: list[np.ndarray],
     config: PCloudsConfig,
-    attrs_list: list[Sequence[Attribute]] | None = None,
+    attrs_list: list[Sequence[Attribute]],
 ) -> list[tuple[Split | None, list[AliveInterval]]]:
-    """``attrs_list`` restricts each node's exchange to its own elected
-    candidate subset (the voting path); ``None`` exchanges the full
-    schema for every node — the exact attribute-based method."""
+    """The owner-side exchange over each node's attribute list. The i-th
+    attribute of a node's list goes whole to ``attribute_owner(i, p)``,
+    except that the distributed method cuts every numeric attribute into
+    one interval block per rank."""
     comm = ctx.comm
     size, rank = comm.size, comm.rank
     c = schema.n_classes
     k = len(locals_list)
-    if attrs_list is None:
-        attrs_list = [list(schema.attributes)] * k
+    by_interval = config.exchange == "distributed"
 
-    # one alltoall ships every node's local vectors, keyed (node, attr)
+    # one alltoall ships every owner its share, keyed (node, attribute):
+    # a numeric block as (hist, vmin, vmax) rows, a categorical
+    # attribute as its count matrix
     parts: list[dict[tuple[int, str], object]] = [dict() for _ in range(size)]
     for j, local in enumerate(locals_list):
         for i, a in enumerate(attrs_list[j]):
-            dest = attribute_owner(i, size)
-            if a.is_numeric:
-                ns = local.numeric[a.name]
-                parts[dest][(j, a.name)] = (ns.hist, ns.vmin, ns.vmax)
-            else:
-                parts[dest][(j, a.name)] = local.categorical[a.name]
+            if not a.is_numeric:
+                parts[attribute_owner(i, size)][(j, a.name)] = (
+                    local.categorical[a.name]
+                )
+                continue
+            ns = local.numeric[a.name]
+            q = ns.n_intervals
+            shares = (
+                [(d, *_interval_block(q, size, d)) for d in range(size)]
+                if by_interval else [(attribute_owner(i, size), 0, q)]
+            )
+            for d, lo, hi in shares:
+                if lo < hi:
+                    parts[d][(j, a.name)] = (
+                        ns.hist[lo:hi], ns.vmin[lo:hi], ns.vmax[lo:hi]
+                    )
     if ctx.observers:
         ctx.notify(
             "on_exchange_payload",
@@ -209,51 +238,65 @@ def _exchange_attribute(
         )
     incoming = comm.alltoall(parts)
 
-    # owner: combine and sweep per (node, owned attribute); exact gini
-    # ties go to the smaller order key, as in the sequential sweep
-    global_num: list[dict[str, NumericStats]] = [dict() for _ in range(k)]
+    # owners combine their shares (boundaries are replicated, so every
+    # source addressed this rank the same keys) and sweep each one as
+    # soon as its left counts are known: at once for a whole attribute,
+    # after the prefix sum for an interval block
+    owned = [
+        NodeStats(total=np.asarray(counts, dtype=np.int64))
+        for counts in counts_list
+    ]
     best_local: list[Split | None] = [None] * k
-    for j in range(k):
-        local = locals_list[j]
-        for name in _owned_attributes(attrs_list[j], rank, size):
-            attr = schema.attribute(name)
-            if attr.is_numeric:
-                combined = incoming[0][(j, name)][0].copy()
-                vmin = incoming[0][(j, name)][1].copy()
-                vmax = incoming[0][(j, name)][2].copy()
-                for piece in incoming[1:]:
-                    combined += piece[(j, name)][0]
-                    np.minimum(vmin, piece[(j, name)][1], out=vmin)
-                    np.maximum(vmax, piece[(j, name)][2], out=vmax)
-                ctx.charge_compute(ops=combined.size * size)
-                bounds = local.numeric[name].boundaries
-                global_num[j][name] = NumericStats(
-                    boundaries=bounds, hist=combined, vmin=vmin, vmax=vmax
-                )
-                ctx.charge_compute(ops=3 * combined.size)
-                cand = _best_boundary_split_of(
-                    name, bounds, combined, counts_list[j]
-                )
-            else:
-                combined = incoming[0][(j, name)].copy()
-                for piece in incoming[1:]:
-                    combined += piece[(j, name)]
-                ctx.charge_compute(ops=combined.size * size)
-                res = best_categorical_split(
-                    combined, config.clouds.enumerate_limit
-                )
-                ctx.charge_compute(ops=combined.size * attr.cardinality)
-                cand = (
-                    Split(
-                        attribute=name,
-                        kind=CATEGORICAL_SPLIT,
-                        gini=res[0],
-                        left_codes=res[1],
-                    )
-                    if res is not None
-                    else None
-                )
-            best_local[j] = better(best_local[j], cand)
+    blocks: list[tuple[int, str]] = []
+    for j, name in incoming[0]:
+        pieces = [src[(j, name)] for src in incoming]
+        if isinstance(pieces[0], tuple):
+            hist, vmin, vmax = (x.copy() for x in pieces[0])
+            for h, mn, mx in pieces[1:]:
+                hist += h
+                np.minimum(vmin, mn, out=vmin)
+                np.maximum(vmax, mx, out=vmax)
+            ns = locals_list[j].numeric[name]
+            owned[j].numeric[name] = NumericStats(
+                boundaries=ns.boundaries,
+                hist=hist,
+                vmin=vmin,
+                vmax=vmax,
+                lo=_interval_block(ns.n_intervals, size, rank)[0]
+                if by_interval else 0,
+            )
+            ctx.charge_compute(ops=hist.size * size)
+            if by_interval:
+                blocks.append((j, name))
+                continue
+        else:
+            matrix = pieces[0].copy()
+            for piece in pieces[1:]:
+                matrix += piece
+            owned[j].categorical[name] = matrix
+            ctx.charge_compute(ops=matrix.size * size)
+        best_local[j] = better(
+            best_local[j],
+            _candidate(ctx, schema, owned[j], name, counts_list[j], config),
+        )
+    if by_interval:
+        # one prefix sum over all nodes' stacked block totals gives each
+        # block the class counts to its left
+        num_keys = [(j, a.name) for j in range(k) for a in schema.numeric]
+        totals = np.stack([
+            owned[j].numeric[n].hist.sum(axis=0)
+            if n in owned[j].numeric else np.zeros(c, np.int64)
+            for j, n in num_keys
+        ]) if num_keys else np.zeros((0, c), dtype=np.int64)
+        inclusive = comm.scan(totals)
+        for row, (j, n) in enumerate(num_keys):
+            if n in owned[j].numeric:
+                owned[j].numeric[n].base = inclusive[row] - totals[row]
+        for j, name in blocks:
+            best_local[j] = better(
+                best_local[j],
+                _candidate(ctx, schema, owned[j], name, counts_list[j], config),
+            )
 
     # one batched min-election over all k nodes
     elected = comm.allreduce_minloc_many(
@@ -264,39 +307,34 @@ def _exchange_attribute(
         ],
     )
     splits = [e[1] for e in elected]
-    if config.clouds.method != "sse":
+    active = [j for j in range(k) if splits[j] is not None]
+    if config.clouds.method != "sse" or not active:
         return [(s, []) for s in splits]
 
-    # owners determine alive intervals for every node whose split exists;
-    # one allgather replicates all statuses, tagged by node index
-    active = [j for j in range(k) if splits[j] is not None]
-    if not active:
-        return [(s, []) for s in splits]
+    # owners determine the alive intervals of what they hold for every
+    # node whose split exists; one allgather replicates all statuses,
+    # tagged by node index
     my_alive: list[tuple[int, tuple]] = []
     for j in active:
-        gini_min = elected[j][0]
-        for name, ns in global_num[j].items():
-            stats_one = NodeStats(
-                total=np.asarray(counts_list[j], dtype=np.int64),
-                numeric={name: ns},
-            )
-            one_schema = Schema(
-                attributes=(schema.attribute(name),), n_classes=c
-            )
-            found = determine_alive_intervals(stats_one, one_schema, gini_min)
-            ctx.charge_compute(ops=ns.hist.shape[0] * c * (2 ** min(c, 16)))
-            my_alive.extend((j, enc) for enc in _encode_alive(found))
-    gathered = ctx.comm.allgather(my_alive)
+        found = determine_alive_intervals(owned[j], schema, elected[j][0])
+        for ns in owned[j].numeric.values():
+            ctx.charge_compute(ops=ns.n_intervals * c * (2 ** min(c, 16)))
+        # on the wire as plain tuples, in AliveInterval's field order
+        my_alive.extend(
+            (j, (iv.attribute, iv.index, iv.lo, iv.hi, iv.left_cum, iv.count,
+                 iv.gini_est))
+            for iv in found
+        )
     alive_by_node: list[list[AliveInterval]] = [[] for _ in range(k)]
-    for chunk in gathered:
-        for j, enc in chunk:
-            alive_by_node[j].extend(_decode_alive([enc]))
+    for chunk in comm.allgather(my_alive):
+        for j, fields in chunk:
+            alive_by_node[j].append(AliveInterval(*fields))
     for lst in alive_by_node:
         lst.sort(key=lambda iv: (iv.attribute, iv.index))
     return [(splits[j], alive_by_node[j]) for j in range(k)]
 
 
-# -- top-k voting method (PV-Tree-style approximation) --------------------
+# -- top-k voting (PV-Tree-style approximation) -----------------------------
 
 
 def _nominate(
@@ -363,18 +401,16 @@ def _elect_candidates(
     return sorted(ranked[:n_win])
 
 
-def _exchange_voting(
+def _vote(
     ctx: RankContext,
     schema: Schema,
     locals_list: list[NodeStats],
-    counts_list: list[np.ndarray],
     config: PCloudsConfig,
-) -> list[tuple[Split | None, list[AliveInterval]]]:
-    """Batched voting: all of the batch's ballots travel in **one** vote
-    collective, each node's candidates are elected independently, and one
-    restricted attribute exchange follows — the collective count stays
+) -> list[list[Attribute]]:
+    """Each node's elected attributes, in schema order: all of the
+    batch's ballots travel in **one** vote collective and each node's
+    candidates are elected independently, so the collective count stays
     constant in the batch size."""
-    comm = ctx.comm
     my_ballots = [
         _nominate(ctx, schema, local, config) for local in locals_list
     ]
@@ -382,194 +418,26 @@ def _exchange_voting(
         ctx.notify(
             "on_exchange_payload",
             config.exchange,
-            payload_nbytes(my_ballots) * (comm.size - 1),
+            payload_nbytes(my_ballots) * (ctx.comm.size - 1),
         )
-    gathered = comm.vote(my_ballots)
-    attrs_list: list[Sequence[Attribute]] = []
-    names_list: list[tuple[str, ...]] = []
-    for j in range(len(locals_list)):
-        elected = _elect_candidates(
-            [rank_ballots[j] for rank_ballots in gathered],
-            len(schema.attributes),
-            config.vote_top_k,
-        )
-        attrs = [schema.attributes[i] for i in elected]
-        attrs_list.append(attrs)
-        names_list.append(tuple(a.name for a in attrs))
-    if ctx.observers:
-        ctx.notify("on_vote_election", tuple(names_list))
-    return _exchange_attribute(
-        ctx, schema, locals_list, counts_list, config, attrs_list=attrs_list
-    )
-
-
-# -- distributed method (interval-granular RAW ownership) -----------------
-
-
-def _interval_block(q: int, size: int, rank: int) -> tuple[int, int]:
-    """Contiguous block of interval indices owned by ``rank`` (contiguity
-    is what lets one prefix sum recover the cumulative counts)."""
-    return rank * q // size, (rank + 1) * q // size
-
-
-def _exchange_distributed(
-    ctx: RankContext,
-    schema: Schema,
-    locals_list: list[NodeStats],
-    counts_list: list[np.ndarray],
-    config: PCloudsConfig,
-) -> list[tuple[Split | None, list[AliveInterval]]]:
-    comm = ctx.comm
-    size, rank = comm.size, comm.rank
-    c = schema.n_classes
-    k = len(locals_list)
-    num_names = [a.name for a in schema.numeric]
-
-    # one alltoall routes every node's interval rows to the block owners
-    parts: list[dict] = [{"num": {}, "cat": {}} for _ in range(size)]
-    for j, local in enumerate(locals_list):
-        for ai, a in enumerate(schema.attributes):
-            if a.is_numeric:
-                ns = local.numeric[a.name]
-                q = ns.n_intervals
-                for d in range(size):
-                    lo, hi = _interval_block(q, size, d)
-                    if lo < hi:
-                        parts[d]["num"][(j, a.name)] = (
-                            lo, ns.hist[lo:hi], ns.vmin[lo:hi], ns.vmax[lo:hi]
-                        )
-            else:
-                parts[attribute_owner(ai, size)]["cat"][(j, a.name)] = (
-                    local.categorical[a.name]
-                )
+    gathered = ctx.comm.vote(my_ballots)
+    attrs_list = [
+        [
+            schema.attributes[i]
+            for i in _elect_candidates(
+                [rank_ballots[j] for rank_ballots in gathered],
+                len(schema.attributes),
+                config.vote_top_k,
+            )
+        ]
+        for j in range(len(locals_list))
+    ]
     if ctx.observers:
         ctx.notify(
-            "on_exchange_payload",
-            config.exchange,
-            sum(payload_nbytes(parts[d]) for d in range(size) if d != rank),
+            "on_vote_election",
+            tuple(tuple(a.name for a in attrs) for attrs in attrs_list),
         )
-    incoming = comm.alltoall(parts)
-
-    # combine this rank's interval block per (node, attribute)
-    blocks: dict[tuple[int, str], tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
-    for j in range(k):
-        for name in num_names:
-            key = (j, name)
-            pieces = [src["num"][key] for src in incoming if key in src["num"]]
-            if not pieces:
-                continue
-            lo = pieces[0][0]
-            hist = pieces[0][1].copy()
-            vmin = pieces[0][2].copy()
-            vmax = pieces[0][3].copy()
-            for piece in pieces[1:]:
-                hist += piece[1]
-                np.minimum(vmin, piece[2], out=vmin)
-                np.maximum(vmax, piece[3], out=vmax)
-            blocks[key] = (lo, hist, vmin, vmax)
-            ctx.charge_compute(ops=hist.size * size)
-
-    # one prefix sum over all nodes' stacked per-attribute block totals
-    keys = [(j, n) for j in range(k) for n in num_names]
-    totals = np.stack(
-        [
-            blocks[key][1].sum(axis=0) if key in blocks else np.zeros(c, np.int64)
-            for key in keys
-        ]
-    ) if keys else np.zeros((0, c), dtype=np.int64)
-    inclusive = comm.scan(totals)
-    base = {key: inclusive[i] - totals[i] for i, key in enumerate(keys)}
-
-    # per-node boundary sweeps and categorical candidates
-    best_local: list[Split | None] = [None] * k
-    for (j, name), (lo, hist, vmin, vmax) in blocks.items():
-        bounds = locals_list[j].numeric[name].boundaries
-        cum = base[(j, name)][None, :] + np.cumsum(hist, axis=0)
-        ctx.charge_compute(ops=3 * hist.size)
-        cand = _best_block_boundary_split(name, bounds, lo, cum, counts_list[j])
-        best_local[j] = better(best_local[j], cand)
-    for j in range(k):
-        for name in (a.name for a in schema.categorical):
-            key = (j, name)
-            matrix_pieces = [
-                src["cat"][key] for src in incoming if key in src["cat"]
-            ]
-            if not matrix_pieces:
-                continue
-            combined = matrix_pieces[0].copy()
-            for piece in matrix_pieces[1:]:
-                combined += piece
-            ctx.charge_compute(ops=combined.size * size)
-            res = best_categorical_split(combined, config.clouds.enumerate_limit)
-            if res is not None:
-                cand = Split(
-                    attribute=name, kind=CATEGORICAL_SPLIT, gini=res[0],
-                    left_codes=res[1],
-                )
-                best_local[j] = better(best_local[j], cand)
-
-    # one batched min-election over all k nodes
-    elected = comm.allreduce_minloc_many(
-        [s.gini if s is not None else float("inf") for s in best_local],
-        best_local,
-        tiebreaks=[
-            s.order_key() if s is not None else None for s in best_local
-        ],
-    )
-    splits = [e[1] for e in elected]
-    if config.clouds.method != "sse":
-        return [(s, []) for s in splits]
-
-    # alive determination directly at the interval owners, one allgather
-    from repro.clouds.gini import gini_lower_bound
-
-    active = [j for j in range(k) if splits[j] is not None]
-    if not active:
-        return [(s, []) for s in splits]
-    my_alive: list[tuple[int, tuple]] = []
-    for j in active:
-        gini_min = elected[j][0]
-        total = np.asarray(counts_list[j], dtype=np.float64)
-        for (jj, name), (lo, hist, vmin, vmax) in blocks.items():
-            if jj != j:
-                continue
-            bounds = locals_list[j].numeric[name].boundaries
-            cum = base[(j, name)][None, :] + np.cumsum(hist, axis=0)
-            left = cum - hist
-            ctx.charge_compute(ops=hist.shape[0] * c * (2 ** min(c, 16)))
-            for i in range(hist.shape[0]):
-                count = int(hist[i].sum())
-                if count < 2 or not vmin[i] < vmax[i]:
-                    continue
-                est = gini_lower_bound(
-                    left[i].astype(np.float64),
-                    hist[i].astype(np.float64),
-                    total,
-                )
-                if est < gini_min:
-                    idx = lo + i
-                    my_alive.append(
-                        (
-                            j,
-                            (
-                                name,
-                                idx,
-                                float(bounds[idx - 1]) if idx > 0 else -np.inf,
-                                float(bounds[idx]) if idx < len(bounds) else np.inf,
-                                left[i].astype(np.float64),
-                                count,
-                                float(est),
-                            ),
-                        )
-                    )
-    gathered = comm.allgather(my_alive)
-    alive_by_node: list[list[AliveInterval]] = [[] for _ in range(k)]
-    for chunk in gathered:
-        for j, enc in chunk:
-            alive_by_node[j].extend(_decode_alive([enc]))
-    for lst in alive_by_node:
-        lst.sort(key=lambda iv: (iv.attribute, iv.index))
-    return [(splits[j], alive_by_node[j]) for j in range(k)]
+    return attrs_list
 
 
 # -- naive full replication (ablation) ------------------------------------
@@ -646,28 +514,3 @@ def _exchange_allreduce(
         alive.sort(key=lambda iv: (iv.attribute, iv.index))
         out.append((split, alive))
     return out
-
-
-# -- alive-interval wire format ---------------------------------------------
-
-
-def _encode_alive(alive: list[AliveInterval]) -> list[tuple]:
-    return [
-        (iv.attribute, iv.index, iv.lo, iv.hi, iv.left_cum, iv.count, iv.gini_est)
-        for iv in alive
-    ]
-
-
-def _decode_alive(chunk: list[tuple]) -> list[AliveInterval]:
-    return [
-        AliveInterval(
-            attribute=t[0],
-            index=t[1],
-            lo=t[2],
-            hi=t[3],
-            left_cum=t[4],
-            count=t[5],
-            gini_est=t[6],
-        )
-        for t in chunk
-    ]

@@ -52,6 +52,10 @@ COLLECTIVES_PER_LARGE_NODE = 6
 #: read+write)
 PASSES_PER_LARGE_NODE = 4
 
+#: deferred subtrees per processor, by volume, that the switch leaves for
+#: the LPT assignment of small tasks to balance
+BALANCE_FACTOR = 2.0
+
 
 def break_even_node_size(
     schema: Schema,
@@ -80,8 +84,6 @@ def auto_q_switch(
     compute: ComputeModel,
     n_ranks: int,
     n_total: int,
-    memory_limit: int | None = None,
-    balance_factor: float = 2.0,
 ) -> int:
     """Pick the switch threshold from the machine's cost models.
 
@@ -89,8 +91,8 @@ def auto_q_switch(
 
     * **latency floor** — nodes below :func:`break_even_node_size`
       synchronise more than they compute; never process them data-parallel;
-    * **load balance** — deferring at n_total/(balance_factor·p) yields at
-      least ~balance_factor·p deferred subtrees by volume, enough for LPT
+    * **load balance** — deferring at n_total/(BALANCE_FACTOR·p) yields at
+      least ~BALANCE_FACTOR·p deferred subtrees by volume, enough for LPT
       to balance ("the load balance can be improved with the presence of a
       large number of such nodes"), while deferring as early as balance
       allows maximises the work done without per-node synchronisation.
@@ -100,18 +102,16 @@ def auto_q_switch(
     bounded (2 transfers per record per subtree level, fewer passes than
     the data-parallel path), so memory does not cap the threshold — it
     merely dampens the benefit, which the balance factor's conservatism
-    absorbs. ``memory_limit`` is accepted for forward compatibility with
-    machine models where residency dominates.
+    absorbs.
 
-    n_switch = max(floor, n_total/(balance_factor·p)); returned in the
+    n_switch = max(floor, n_total/(BALANCE_FACTOR·p)); returned in the
     paper's units (intervals), clamped to [1, q_root/2] so the root always
     runs at least one data-parallel level.
     """
-    del memory_limit  # see docstring: informative but not binding here
     if n_total <= 0:
         return 1
     floor = break_even_node_size(schema, network, disk, compute, n_ranks)
-    balance = n_total / (balance_factor * max(n_ranks, 1))
+    balance = n_total / (BALANCE_FACTOR * max(n_ranks, 1))
     n_switch = max(floor, balance)
     q_star = int(round(clouds.q_root * n_switch / n_total))
     return max(1, min(q_star, clouds.q_root // 2))

@@ -133,6 +133,14 @@ def startup_cost(network: NetworkModel, op: str, *, p: int) -> float:
     return collective_cost(network, op, p=p, m=0.0)
 
 
+def _without_idle_vote(strategy: str, top_k: int | None, f: int) -> str:
+    """Voting with ``top_k >= f`` would elect every attribute, so the
+    exchange holds no vote and runs the attribute method."""
+    if strategy == "voting" and top_k is not None and top_k >= f:
+        return "attribute"
+    return strategy
+
+
 def exchange_stats_bytes(
     strategy: str,
     *,
@@ -153,10 +161,12 @@ def exchange_stats_bytes(
     through the combine. ``"voting"`` ships one (attribute, gini) ballot
     of ``top_k`` rows to every peer plus the alltoall restricted to the
     at most ``min(2·top_k, f)`` elected attributes — the O(f) → O(k)
-    reduction the PV-Tree vote buys.
+    reduction the PV-Tree vote buys. With ``top_k >= f`` no vote is held
+    and voting is priced as ``"attribute"``.
     """
     full = float(q) * c * f * value_nbytes
     frac = (p - 1) / p if p > 0 else 0.0
+    strategy = _without_idle_vote(strategy, top_k, f)
     if strategy in ("attribute", "distributed"):
         return full * frac
     if strategy == "allreduce":
@@ -188,11 +198,13 @@ def exchange_cost(
     prefix sum that recovers block-base cumulative counts;
     ``"allreduce"`` is one global combine of everything; ``"voting"``
     pays the ballot all-to-all broadcast up front and then the
-    attribute-partitioned alltoallv over only the elected candidates.
+    attribute-partitioned alltoallv over only the elected candidates —
+    or, with ``top_k >= f``, exactly what ``"attribute"`` pays.
     """
     w = value_nbytes
     frac = (p - 1) / p if p > 0 else 0.0
     election = network.global_combine(8.0, p)
+    strategy = _without_idle_vote(strategy, top_k, f)
     if strategy == "attribute":
         b = q * c * f * w * frac
         return network.alltoallv(b, b, p) + election

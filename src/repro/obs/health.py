@@ -19,20 +19,28 @@ The paper's aggregate invariants, checked while a run is in flight:
 
 The :class:`HealthMonitor` is *online*: each rank publishes a
 :class:`LevelSummary` as it leaves a frontier level, and the level is
-evaluated the moment the last rank's summary lands. Rank threads only
-ever publish summaries of levels they have finished, and the
-communicator's barriers order level N's publishes before any rank can
-finish level N+1, so evaluation order — and every derived number — is
-deterministic. Alerts are structured (:class:`HealthAlert`), never
-raised as exceptions: an unhealthy run completes and reports.
+evaluated the moment the last rank of its *group* reports. A group is
+the communicator the tree is fitted over: the whole machine for one
+tree, one of the disjoint rank groups when a forest fits trees
+concurrently, so each tree's levels are measured among the ranks that
+built them. Within a group the collectives order level N's publishes
+before any rank can finish level N+1, and a group fits its trees one
+after another, so each group evaluates its levels in a fixed order and
+every derived number is deterministic. Groups finish in host-timing
+order, so the level rows are kept sorted by (attempt, group), each
+group's rows in the order it evaluated them: level order, tree by
+tree. Alerts are structured (:class:`HealthAlert`), never raised as
+exceptions: an unhealthy run completes and reports.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from repro.cluster.comm import WORLD
 from repro.cluster.network import NetworkModel
 from repro.dnc.cost import observed_collective_cost
 
@@ -89,6 +97,8 @@ class LevelSummary:
     cache_hits: int = 0  # buffer-pool hits during the level
     cache_misses: int = 0  # buffer-pool misses (0/0 when no pool attached)
     overlap_saved: float = 0.0  # prefetch seconds hidden behind compute
+    group: str = WORLD  # label of the communicator the tree is fitted over
+    group_size: int | None = None  # its rank count (None: every rank)
 
 
 @dataclass(frozen=True)
@@ -166,6 +176,7 @@ class LevelHealth:
     cache_misses: int = 0
     cache_hit_rate: float = 0.0  # hits / lookups (0.0 when no pool traffic)
     overlap_saved: float = 0.0  # prefetch seconds hidden behind compute
+    group: str = WORLD  # rank group the level was measured over
     alerts: tuple[HealthAlert, ...] = ()
 
 
@@ -212,7 +223,7 @@ def drift_by_op(
 
 class HealthMonitor:
     """Collects per-rank level summaries and evaluates indicators the
-    moment a level is complete (all ranks reported)."""
+    moment a level is complete (all ranks of its group reported)."""
 
     def __init__(
         self,
@@ -223,24 +234,35 @@ class HealthMonitor:
         self.n_ranks = n_ranks
         self.network = network
         self.thresholds = thresholds or HealthThresholds()
+        #: evaluated levels, ordered by (attempt, group), then by when
+        #: the group evaluated them
         self.levels: list[LevelHealth] = []
-        self.alerts: list[HealthAlert] = []
+        self._run_alerts: list[HealthAlert] = []  # post-run indicators
         self._lock = threading.Lock()
-        self._pending: dict[tuple[int, int], dict[int, LevelSummary]] = {}
+        self._pending: dict[tuple[int, str, int], dict[int, LevelSummary]] = {}
         self._outside: list[CollectiveSample] = []
+
+    @property
+    def alerts(self) -> list[HealthAlert]:
+        """Every alert: the levels' in level-row order, then the
+        post-run ones in evaluation order."""
+        with self._lock:
+            level_alerts = [a for lh in self.levels for a in lh.alerts]
+            return level_alerts + self._run_alerts
 
     # -- publishing ----------------------------------------------------------
     def publish(self, summary: LevelSummary) -> None:
         """Called by each rank as it finishes a level. Thread-safe; the
-        last rank to report triggers the evaluation, so results only
-        depend on the summaries, never on host scheduling."""
+        last rank of the level's group to report triggers the
+        evaluation, so results only depend on the summaries, never on
+        host scheduling."""
         with self._lock:
-            key = (summary.attempt, summary.level)
+            key = (summary.attempt, summary.group, summary.level)
             got = self._pending.setdefault(key, {})
             got[summary.rank] = summary
-            if len(got) == self.n_ranks:
+            if len(got) == (summary.group_size or self.n_ranks):
                 del self._pending[key]
-                self._evaluate(key[0], key[1], [got[r] for r in sorted(got)])
+                self._evaluate(*key, [got[r] for r in sorted(got)])
 
     def publish_outside(self, samples: list[CollectiveSample]) -> None:
         """Collectives recorded outside the frontier loop (preprocess,
@@ -251,9 +273,11 @@ class HealthMonitor:
 
     # -- evaluation ----------------------------------------------------------
     def _evaluate(
-        self, attempt: int, level: int, summaries: list[LevelSummary]
+        self, attempt: int, group: str, level: int,
+        summaries: list[LevelSummary],
     ) -> None:
         th = self.thresholds
+        where = f"level {level}" if group == WORLD else f"level {level} of {group}"
         busys = [s.busy for s in summaries]
         busy_max = max(busys)
         busy_mean = sum(busys) / len(busys)
@@ -278,7 +302,7 @@ class HealthMonitor:
             alerts.append(
                 HealthAlert(
                     "imbalance", level, None, imbalance, th.imbalance,
-                    f"level {level}: busy-time imbalance {imbalance:.2f}× "
+                    f"{where}: busy-time imbalance {imbalance:.2f}× "
                     f"exceeds {th.imbalance:.2f}× "
                     f"(max {busy_max:.3f}s vs mean {busy_mean:.3f}s)",
                 )
@@ -288,7 +312,7 @@ class HealthMonitor:
                 HealthAlert(
                     "io_amplification", level, None, io_amp,
                     th.io_amplification,
-                    f"level {level}: I/O amplification {io_amp:.2f}× "
+                    f"{where}: I/O amplification {io_amp:.2f}× "
                     f"({io_bytes:,} B moved over {live_bytes:,} live B) "
                     f"exceeds {th.io_amplification:.2f}×",
                 )
@@ -303,7 +327,7 @@ class HealthMonitor:
             alerts.append(
                 HealthAlert(
                     "cache_hit_rate", level, None, hit_rate, th.cache_hit_rate,
-                    f"level {level}: buffer-pool hit rate {hit_rate:.1%} on a "
+                    f"{where}: buffer-pool hit rate {hit_rate:.1%} on a "
                     f"re-reading level ({io_amp:.2f}× amplification) is below "
                     f"{th.cache_hit_rate:.0%} — the pool is thrashing",
                 )
@@ -317,15 +341,17 @@ class HealthMonitor:
                     HealthAlert(
                         "drift", level, op, d,
                         th.drift_high if d > 1.0 else th.drift_low,
-                        f"level {level}: {op} cost drift {d:.3f} outside "
+                        f"{where}: {op} cost drift {d:.3f} outside "
                         f"[{th.drift_low:g}, {th.drift_high:g}] "
                         f"(observed {o:.4g}s vs Table-1 {p:.4g}s)",
                     )
                 )
-        self.levels.append(
+        bisect.insort(
+            self.levels,
             LevelHealth(
                 attempt=attempt,
                 level=level,
+                group=group,
                 n_frontier=summaries[0].n_frontier,
                 busy_max=busy_max,
                 busy_mean=busy_mean,
@@ -340,9 +366,9 @@ class HealthMonitor:
                 cache_hit_rate=hit_rate,
                 overlap_saved=overlap_saved,
                 alerts=tuple(alerts),
-            )
+            ),
+            key=lambda lh: (lh.attempt, lh.group),
         )
-        self.alerts.extend(alerts)
 
     def evaluate_critical_path(self, path) -> list[HealthAlert]:
         """Evaluate a run's extracted
@@ -354,7 +380,7 @@ class HealthMonitor:
 
         alerts = critpath_alerts(path, self.thresholds)
         with self._lock:
-            self.alerts.extend(alerts)
+            self._run_alerts.extend(alerts)
         return alerts
 
     def evaluate_forest_cache(
@@ -381,7 +407,7 @@ class HealthMonitor:
             "between trees",
         )
         with self._lock:
-            self.alerts.append(alert)
+            self._run_alerts.append(alert)
         return [alert]
 
     # -- aggregates ----------------------------------------------------------
@@ -467,6 +493,7 @@ class HealthReport:
             "levels": [
                 {
                     "attempt": lh.attempt,
+                    "group": lh.group,
                     "level": lh.level,
                     "n_frontier": lh.n_frontier,
                     "busy_max": lh.busy_max,

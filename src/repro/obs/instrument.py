@@ -23,7 +23,7 @@ time) to an unmetered one.
 
 from __future__ import annotations
 
-from repro.cluster.comm import CommCall
+from repro.cluster.comm import WORLD, CommCall
 from repro.cluster.events import subscribe
 from repro.cluster.machine import RankContext
 
@@ -238,7 +238,8 @@ class MetricsRecorder:
         self._seq: dict[str, int] = {}
         self._level_samples: list[CollectiveSample] = []
         self._outside_samples: list[CollectiveSample] = []
-        self._level_meta: tuple[int, int] = (0, 0)  # (n_frontier, live_bytes)
+        # (n_frontier, live_bytes, group label, group size) of the open level
+        self._level_meta: tuple[int, int, str, int | None] = (0, 0, WORLD, None)
         self._busy0 = 0.0
         self._idle0 = 0.0
         self._io0 = 0
@@ -351,10 +352,20 @@ class MetricsRecorder:
         self._level_samples = []
         self.shard.inc("repro_attempts_total", (self.rank_label,))
 
-    def begin_level(self, level: int, n_frontier: int, live_bytes: int) -> None:
+    def begin_level(
+        self,
+        level: int,
+        n_frontier: int,
+        live_bytes: int,
+        group: str,
+        group_size: int,
+    ) -> None:
+        """A frontier level opens on this rank; ``group``/``group_size``
+        name the communicator the tree is fitted over, whose ranks the
+        health monitor compares this level among."""
         stats = self.ctx.stats
         self.level = level
-        self._level_meta = (n_frontier, int(live_bytes))
+        self._level_meta = (n_frontier, int(live_bytes), group, group_size)
         self._level_samples = []
         self._busy0 = stats.busy_time()
         self._idle0 = stats.idle_time
@@ -403,6 +414,8 @@ class MetricsRecorder:
             cache_hits=hits,
             cache_misses=misses,
             overlap_saved=stats.io_overlap_saved - self._overlap0,
+            group=self._level_meta[2],
+            group_size=self._level_meta[3],
         )
         self.level = None
         self._level_samples = []

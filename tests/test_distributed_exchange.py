@@ -95,6 +95,31 @@ class TestDistributedAgreement:
             expect = np.bincount(labels[left_mask], minlength=2)
             np.testing.assert_array_equal(np.asarray(left_cum), expect)
 
+    @pytest.mark.parametrize("method", ["ss", "sse"])
+    def test_one_rank_charges_what_the_attribute_method_charges(
+        self, setup, method
+    ):
+        """At p = 1 the one owner holds every block and every attribute
+        whole, so both methods charge the same combine, sweep,
+        categorical search and alive work (blocks wait for the prefix
+        sum, so the charges add up in another order)."""
+        schema, cols, labels, bounds, total = setup
+        assert schema.categorical
+
+        def prog(ctx, exchange):
+            local = stats_from_arrays(schema, cols, labels, bounds)
+            before = ctx.stats.compute_time
+            exchange_node_stats(
+                ctx, schema, local, total,
+                PCloudsConfig(clouds=CloudsConfig(method=method, q_root=24),
+                              exchange=exchange),
+            )
+            return ctx.stats.compute_time - before
+
+        dist = make_cluster(1).run(prog, "distributed").results
+        attr = make_cluster(1).run(prog, "attribute").results
+        assert dist == pytest.approx(attr, rel=1e-12)
+
     def test_compute_spread_over_all_ranks(self, setup):
         """The distributed method's selling point: with p > #attributes
         the sweep work lands on every rank, not just the attribute

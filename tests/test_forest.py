@@ -408,6 +408,37 @@ class TestForestMetrics:
         res = PForest(forest_config("tree")).fit(ds, seed=SEED, metrics=True)
         assert tree_roots(res.forest) == standalone_roots
 
+    def test_tree_regime_levels_balance_within_their_groups(self, quest):
+        """Each tree's levels are measured among the ranks that built it:
+        single-rank groups are balanced by construction."""
+        ds = make_dataset(quest, 4)
+        res = PForest(
+            ForestConfig(n_trees=4, pclouds=pconfig(), regime="tree")
+        ).fit(ds, seed=SEED, metrics=True)
+        assert res.n_groups == 4
+        levels = res.health.levels
+        assert {lh.group for lh in levels} == {f"world/{r}" for r in range(4)}
+        assert all(lh.imbalance == 1.0 for lh in levels)
+        assert res.health.healthy
+        for group in {lh.group for lh in levels}:
+            mine = [lh.level for lh in levels if lh.group == group]
+            assert mine == list(range(len(mine)))
+
+    @pytest.mark.parametrize("regime", ["tree", "hybrid"])
+    def test_health_report_is_deterministic(self, quest, regime):
+        """Groups finish in host-timing order; the report must not."""
+        reports = set()
+        for _ in range(4):
+            ds = make_dataset(
+                quest, 4, buffer_pool="lru+prefetch",
+                memory_limit=1 << 14, pool_bytes=1 << 20,
+            )
+            res = PForest(
+                ForestConfig(n_trees=4, pclouds=pconfig(), regime=regime)
+            ).fit(ds, seed=SEED, metrics=True)
+            reports.add(json.dumps(res.health.to_dict(), sort_keys=True))
+        assert len(reports) == 1
+
     def test_per_tree_phase_blame(self, quest):
         ds = make_dataset(quest, 4)
         res = PForest(forest_config("data")).fit(ds, seed=SEED, trace=True)

@@ -205,6 +205,26 @@ class TestHealthMonitor:
         mon.publish(self._summary(1, 1.0))
         assert len(mon.levels) == 1
 
+    def test_groups_evaluate_apart_and_rows_sort(self):
+        """Concurrent trees in disjoint rank groups: each group's level
+        is complete once *its* ranks report, and the rows come out in
+        (attempt, group) order whatever order groups finish in."""
+        mon = HealthMonitor(4, NET)
+        for group, rank, busy in (
+            ("world/2,3", 2, 1.0), ("world/2,3", 3, 3.0),
+            ("world/0,1", 0, 1.0), ("world/0,1", 1, 1.0),
+        ):
+            mon.publish(LevelSummary(
+                rank=rank, attempt=0, level=0, busy=busy, idle=0.0,
+                io_bytes=400, live_bytes=100, n_frontier=1,
+                group=group, group_size=2,
+            ))
+        assert [(lh.group, lh.imbalance) for lh in mon.levels] == [
+            ("world/0,1", 1.0), ("world/2,3", 1.5),
+        ]
+        rows = HealthReport.from_monitor(mon).to_dict()["levels"]
+        assert [r["group"] for r in rows] == ["world/0,1", "world/2,3"]
+
     def test_thresholds_trigger_alerts(self):
         th = HealthThresholds(imbalance=1.2, io_amplification=2.0)
         mon = HealthMonitor(2, NET, th)
@@ -268,6 +288,11 @@ class TestMeteredRun:
         for lh in report.levels:
             assert lh.imbalance >= 1.0
             assert lh.io_bytes >= 0
+        # one tree over the whole machine: every level is the world
+        # group's, and the group is the one field a row gained
+        assert {lh.group for lh in report.levels} == {"world"}
+        for row in report.to_dict()["levels"]:
+            assert row["group"] == "world"
 
     def test_snapshot_reconciles_with_run(self, metered):
         snap = metered.metrics_snapshot()

@@ -3,11 +3,13 @@ survival ratios, and the SSE-refines-SS relationship."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clouds.builder import find_split_from_arrays, node_boundaries, CloudsConfig
 from repro.clouds.direct import find_split_direct
 from repro.clouds.intervals import boundaries_from_sample
-from repro.clouds.nodestats import stats_from_arrays
+from repro.clouds.nodestats import NodeStats, NumericStats, stats_from_arrays
 from repro.clouds.splits import NUMERIC_SPLIT
 from repro.clouds.ss import best_boundary_split, find_split_ss
 from repro.clouds.sse import (
@@ -17,7 +19,7 @@ from repro.clouds.sse import (
     refine_with_alive,
     survival_ratio,
 )
-from repro.data import generate_quest, quest_schema
+from repro.data import generate_quest, make_schema, quest_schema
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +164,50 @@ class TestSseRefinement:
         assert refine_with_alive(a, [None, b]) is b
         assert refine_with_alive(a, []) is a
         assert refine_with_alive(None, [b]) is b
+
+
+@given(st.integers(1, 24), st.integers(2, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_alive_over_any_block_cut_equals_whole_attribute(q, c, data):
+    """An owner in the distributed exchange holds one contiguous block
+    of an attribute's intervals, numbered from ``lo`` and carrying the
+    class counts to its left in ``base``. However the attribute is cut,
+    the blocks' alive intervals together are the whole attribute's, bit
+    for bit (another attribute of the schema, held by nobody here, is
+    skipped)."""
+    schema = make_schema(["x", "y"], {}, n_classes=c)
+    hist = np.array(
+        data.draw(st.lists(
+            st.lists(st.integers(0, 30), min_size=c, max_size=c),
+            min_size=q, max_size=q,
+        )),
+        dtype=np.int64,
+    )
+    spread = np.array(
+        data.draw(st.lists(st.booleans(), min_size=q, max_size=q))
+    )
+    bounds = np.arange(1.0, q)
+    vmin = np.arange(q) + 0.25
+    vmax = vmin + np.where(spread, 0.5, 0.0)
+    total = hist.sum(axis=0)
+    gini_min = data.draw(st.floats(0.0, 1.0))
+    cuts = sorted(data.draw(st.sets(st.integers(1, q - 1)))) if q > 1 else []
+
+    def alive(ns):
+        found = determine_alive_intervals(
+            NodeStats(total=total, numeric={"x": ns}), schema, gini_min
+        )
+        return [
+            (iv.attribute, iv.index, iv.lo, iv.hi, tuple(iv.left_cum),
+             iv.count, iv.gini_est)
+            for iv in found
+        ]
+
+    whole = alive(NumericStats(bounds, hist, vmin, vmax))
+    blocks = []
+    for lo, hi in zip([0] + cuts, cuts + [q]):
+        blocks += alive(NumericStats(
+            bounds, hist[lo:hi], vmin[lo:hi], vmax[lo:hi],
+            lo=lo, base=hist[:lo].sum(axis=0),
+        ))
+    assert blocks == whole

@@ -104,11 +104,27 @@ class TestExactWhenKCoversSchema:
     def test_full_fit_bit_identical(self, data, method, p):
         cols, labels = data
         f = len(quest_schema().attributes)
-        exact = fit(p, cols, labels, exchange="attribute", method=method)
+        exact = fit(p, cols, labels, exchange="attribute", method=method,
+                    trace=True)
         voted = fit(p, cols, labels, exchange="voting", vote_top_k=f,
-                    method=method)
+                    method=method, trace=True)
         assert voted.tree.to_dict() == exact.tree.to_dict()
         validate_tree(voted.tree)
+        # no vote is held: the attribute method to the simulated second,
+        # with the same world collectives carrying the same bytes
+        assert voted.elapsed == exact.elapsed
+
+        def world_schedule(res):
+            return [
+                [(e.op, e.sent, e.received) for e in t.comm_events()
+                 if e.comm == "world"]
+                for t in res.tracers
+            ]
+
+        assert world_schedule(voted) == world_schedule(exact)
+        assert all(
+            op != "vote" for rank in world_schedule(voted) for op, _, _ in rank
+        )
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_full_fit_bit_identical_across_seeds(self, data, seed):
@@ -297,9 +313,9 @@ class TestConfigAndCost:
         allreduce = exchange_stats_bytes("allreduce", **kw)
         assert voting < attribute / 2
         assert attribute < allreduce
-        # k >= f converges to the attribute payload plus the ballots
+        # k >= f holds no vote: exactly the attribute payload
         full = exchange_stats_bytes("voting", top_k=64, **kw)
-        assert full > attribute
+        assert full == attribute
         with pytest.raises(ValueError, match="top_k"):
             exchange_stats_bytes("voting", **kw)
         with pytest.raises(ValueError, match="unknown"):
