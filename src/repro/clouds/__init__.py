@@ -6,9 +6,11 @@ from .direct import StoppingRule, find_split_direct, fit_direct
 from .gini import (
     best_categorical_split,
     best_numeric_split_exact,
+    best_numeric_splits,
     boundary_sweep,
     gini_from_counts,
     gini_lower_bound,
+    gini_lower_bounds,
     weighted_gini,
 )
 from .intervals import (
@@ -68,6 +70,7 @@ __all__ = [
     "accuracy",
     "best_categorical_split",
     "best_numeric_split_exact",
+    "best_numeric_splits",
     "better",
     "boundaries_from_sample",
     "boundary_sweep",
@@ -89,6 +92,7 @@ __all__ = [
     "gini_from_counts",
     "gini_importance",
     "gini_lower_bound",
+    "gini_lower_bounds",
     "interval_histogram",
     "interval_index",
     "mdl_prune",

@@ -13,6 +13,23 @@ concave. Minimising a concave function over the box
 evaluating all ``2^c`` corners yields the exact continuous minimum — a
 true lower bound on the gini of any split realisable inside the interval
 (realisable splits are points of the box).
+
+The two exact-split kernels are batched, so a caller pays one NumPy
+sweep where it used to pay one per item:
+
+* :func:`gini_lower_bounds` bounds many intervals at once: it builds the
+  ``2^c`` corners once and scores an ``(intervals, 2^c, c)`` corner
+  array with one :func:`weighted_gini` call (SSE makes one call per
+  numeric attribute);
+* :func:`best_numeric_splits` finds the best threshold of several
+  numeric columns at once: a stable argsort per row, one
+  ``(columns, records, classes)`` cumulative-count array and one
+  :func:`boundary_sweep` over every row's candidates (the direct method
+  makes one call per block of attributes).
+
+Every step is elementwise or a reduction over the class axis, so a row's
+result is bit-identical to the one-row call; :func:`gini_lower_bound`
+and :func:`best_numeric_split_exact` *are* the one-row calls.
 """
 
 from __future__ import annotations
@@ -26,9 +43,16 @@ __all__ = [
     "weighted_gini",
     "boundary_sweep",
     "best_numeric_split_exact",
+    "best_numeric_splits",
     "best_categorical_split",
     "gini_lower_bound",
+    "gini_lower_bounds",
 ]
+
+#: most elements one corner array of :func:`gini_lower_bounds` holds;
+#: further intervals go in further chunks, so many classes (``2^c · c``
+#: elements per interval) cost no more memory than one interval did
+CORNER_ELEMENTS = 2**16
 
 
 def gini_from_counts(counts: np.ndarray) -> np.ndarray | float:
@@ -92,36 +116,62 @@ def best_numeric_split_exact(
     counts, so the returned gini is the node-level split gini (and the
     interval's largest value is then a legal threshold, since later
     intervals stay right). Returns ``(gini, threshold)`` or None when no
-    split exists.
+    split exists. The one-row call of :func:`best_numeric_splits`.
+    """
+    return best_numeric_splits(
+        np.asarray(values)[None, :], labels, n_classes, base_left, node_counts
+    )[0]
+
+
+def best_numeric_splits(
+    values: np.ndarray,
+    labels: np.ndarray,
+    n_classes: int,
+    base_left: np.ndarray | None = None,
+    node_counts: np.ndarray | None = None,
+) -> list[tuple[float, float] | None]:
+    """:func:`best_numeric_split_exact` for every row of ``values``
+    (``(f, n)``: f numeric columns of the same n records, labelled by
+    ``labels``), in one sweep.
+
+    Each row is sorted with a stable argsort, and one ``(f, n, c)``
+    cumulative-count array covers all rows. The candidates are the last
+    occurrence of each distinct value that leaves a non-empty right side
+    at node scope; one :func:`boundary_sweep` scores the candidates of
+    every row, and each row takes its first minimum, as ``argmin`` over
+    its candidates alone would. Returns one ``(gini, threshold)`` or None
+    per row.
     """
     values = np.asarray(values)
     labels = np.asarray(labels)
-    n = len(values)
+    f, n = values.shape
     if n != len(labels):
         raise ValueError("values and labels differ in length")
     if n == 0:
-        return None
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    lab = labels[order]
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
-    onehot[np.arange(n), lab] = 1.0
-    cum = np.cumsum(onehot, axis=0)
+        return [None] * f
+    rows = np.arange(f)[:, None]
+    order = np.argsort(values, axis=1, kind="stable")
+    v = values[rows, order]
+    onehot = np.zeros((f, n, n_classes), dtype=np.float64)
+    onehot[rows, np.arange(n), labels[order]] = 1.0
+    cum = np.cumsum(onehot, axis=1)
     if base_left is not None:
-        cum = cum + np.asarray(base_left, dtype=np.float64)[None, :]
+        cum += np.asarray(base_left, dtype=np.float64)
     if node_counts is None:
-        node_counts = cum[-1]
+        node_counts = cum[0, -1]  # every row counts the same records
     node_counts = np.asarray(node_counts, dtype=np.float64)
-    node_n = node_counts.sum()
-    # candidate boundaries: last occurrence of each distinct value
-    distinct_end = np.append(np.flatnonzero(v[:-1] != v[1:]), n - 1)
-    # keep only splits with a non-empty right side at node scope
-    distinct_end = distinct_end[cum[distinct_end].sum(axis=1) < node_n]
-    if distinct_end.size == 0:
-        return None
-    ginis = boundary_sweep(cum[distinct_end], node_counts)
-    k = int(np.argmin(ginis))
-    return float(ginis[k]), float(v[distinct_end[k]])
+    # candidate boundaries: last occurrence of each distinct value ...
+    candidate = np.ones((f, n), dtype=bool)
+    candidate[:, :-1] = v[:, :-1] != v[:, 1:]
+    # ... that leaves a non-empty right side at node scope
+    candidate &= cum.sum(axis=2) < node_counts.sum()
+    ginis = np.full((f, n), np.inf)
+    ginis[candidate] = boundary_sweep(cum[candidate], node_counts)
+    best = np.argmin(ginis, axis=1)
+    return [
+        (float(ginis[r, k]), float(v[r, k])) if candidate[r, k] else None
+        for r, k in enumerate(best)
+    ]
 
 
 def _two_class_subset(counts: np.ndarray) -> tuple[float, frozenset[int]]:
@@ -224,19 +274,51 @@ def gini_lower_bound(
     ``interval_counts`` — class counts inside it; ``total_counts`` — the
     node's counts. Exact (vertex enumeration of the concave minimisation)
     for up to ``corner_limit`` classes; beyond that a vertex local search
-    is used and the result is a heuristic estimate, as in CLOUDS.
+    is used and the result is a heuristic estimate, as in CLOUDS. The
+    one-row call of :func:`gini_lower_bounds`.
+    """
+    L = np.asarray(left_cum)[None, :]
+    I = np.asarray(interval_counts)[None, :]
+    return float(gini_lower_bounds(L, I, total_counts, corner_limit)[0])
+
+
+def gini_lower_bounds(
+    left_cum: np.ndarray,
+    interval_counts: np.ndarray,
+    total_counts: np.ndarray,
+    corner_limit: int = 16,
+) -> np.ndarray:
+    """:func:`gini_lower_bound` of every interval: row i of the ``(k, c)``
+    arrays ``left_cum`` and ``interval_counts`` is one interval of a node
+    whose class counts are ``total_counts``. Returns ``(k,)`` bounds.
+
+    The ``2^c`` corners are built once per call, and every interval's
+    corners are scored by one :func:`weighted_gini` call over a
+    ``(k, 2^c, c)`` array (in chunks of at most :data:`CORNER_ELEMENTS`
+    elements). Above ``corner_limit`` classes each row runs the vertex
+    local search.
     """
     L = np.asarray(left_cum, dtype=np.float64)
     I = np.asarray(interval_counts, dtype=np.float64)
     T = np.asarray(total_counts, dtype=np.float64)
-    c = L.shape[0]
-    if not (I.shape == (c,) and T.shape == (c,)):
+    k, c = L.shape
+    if not (I.shape == (k, c) and T.shape == (c,)):
         raise ValueError("class-count vectors must share one shape")
-    if c <= corner_limit:
-        corners = np.array(list(itertools.product((0.0, 1.0), repeat=c)))
-        lefts = L[None, :] + corners * I[None, :]
-        return float(np.min(weighted_gini(lefts, T[None, :] - lefts)))
-    # vertex local search: flip one coordinate at a time while improving
+    if c > corner_limit:
+        return np.array([_vertex_search(L[i], I[i], T) for i in range(k)], dtype=np.float64)
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=c)))
+    out = np.empty(k, dtype=np.float64)
+    step = max(1, CORNER_ELEMENTS // corners.size)
+    for s in range(0, k, step):
+        lefts = L[s : s + step, None, :] + corners * I[s : s + step, None, :]
+        out[s : s + step] = np.min(weighted_gini(lefts, T - lefts), axis=-1)
+    return out
+
+
+def _vertex_search(L: np.ndarray, I: np.ndarray, T: np.ndarray) -> float:
+    """Vertex local search for many classes: flip one coordinate at a
+    time while the gini improves."""
+    c = L.shape[0]
     a = np.zeros(c)
     best = float(weighted_gini(L, T - L))
     improved = True

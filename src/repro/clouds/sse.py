@@ -9,6 +9,11 @@ member points and evaluates the gini at every distinct value, which may
 beat the boundary split. The ratio of points in alive intervals to the
 node size is the *survival ratio* — SSE's whole advantage is that it is
 small.
+
+:func:`determine_alive_intervals` bounds all of an attribute's
+candidate intervals with one batched
+:func:`~repro.clouds.gini.gini_lower_bounds` call (one corner sweep per
+attribute, not one per interval).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from repro.data.schema import Schema
 
-from .gini import best_numeric_split_exact, gini_lower_bound
+from .gini import best_numeric_split_exact, gini_lower_bounds
 from .nodestats import NodeStats
 from .splits import NUMERIC_SPLIT, Split, better
 
@@ -71,28 +76,26 @@ def determine_alive_intervals(
         ns = stats.numeric.get(a.name)
         if ns is None:
             continue  # held by another owner
-        left = ns.left_of_interval()
-        hist = ns.hist
+        counts = ns.hist.sum(axis=1)
+        # fewer than two records or distinct values: no interior split
+        rows = np.flatnonzero((counts >= 2) & ns.splittable())
+        left = ns.left_of_interval()[rows]
+        ests = gini_lower_bounds(left, ns.hist[rows], stats.total)
         b = ns.boundaries
-        splittable = ns.splittable()
-        for i in range(hist.shape[0]):
-            count = int(hist[i].sum())
-            if count < 2 or not splittable[i]:
-                continue  # fewer than two distinct values: no interior split
-            est = gini_lower_bound(left[i], hist[i], stats.total)
-            if est < gini_min:
-                idx = ns.lo + i
-                alive.append(
-                    AliveInterval(
-                        attribute=a.name,
-                        index=idx,
-                        lo=float(b[idx - 1]) if idx > 0 else -np.inf,
-                        hi=float(b[idx]) if idx < len(b) else np.inf,
-                        left_cum=left[i].astype(np.float64),
-                        count=count,
-                        gini_est=float(est),
-                    )
+        keep = ests < gini_min
+        for i, est, left_cum in zip(rows[keep], ests[keep], left[keep]):
+            idx = ns.lo + int(i)
+            alive.append(
+                AliveInterval(
+                    attribute=a.name,
+                    index=idx,
+                    lo=float(b[idx - 1]) if idx > 0 else -np.inf,
+                    hi=float(b[idx]) if idx < len(b) else np.inf,
+                    left_cum=left_cum.astype(np.float64),
+                    count=int(counts[i]),
+                    gini_est=float(est),
                 )
+            )
     return alive
 
 

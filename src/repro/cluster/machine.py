@@ -49,7 +49,11 @@ class RankContext:
         tracer, metrics recorder, ...). The communicator, disk and phase
         timer publish to them; driver programs add milestones via
         :meth:`notify`.
+    tree : the forest member a :class:`GroupContext` fits; None here,
+        for a single-tree fit.
     """
+
+    tree: int | None = None
 
     def __init__(
         self,
@@ -150,19 +154,21 @@ class GroupContext:
     groups (``Comm.split``); the per-tree fit program then runs against a
     context whose ``comm``/``rank``/``size`` are the *group's* while disk,
     clock, memory, rng, stats and observers remain the underlying
-    physical rank's. An optional ``phase_prefix`` namespaces phase names
-    (``tree3/...``) so tracing and metrics attribute time per tree.
+    physical rank's. ``tree`` names the forest member fitted: phase names
+    are namespaced ``tree3/...`` so tracing and metrics attribute time per
+    tree, and the health monitor labels the tree's level rows with it.
     """
 
     def __init__(
-        self, base: RankContext, comm: Comm, *, phase_prefix: str = ""
+        self, base: RankContext, comm: Comm, *, tree: int | None = None
     ) -> None:
         self._base = base
         self.comm = comm
         self.rank = comm.rank
         self.size = comm.size
+        self.tree = tree
         self.timer = (
-            _PrefixedTimer(base.timer, phase_prefix) if phase_prefix else base.timer
+            base.timer if tree is None else _PrefixedTimer(base.timer, f"tree{tree}/")
         )
 
     def __getattr__(self, name: str) -> Any:

@@ -530,7 +530,8 @@ def fit_tree_program(
             # live bytes at level start feed the I/O-amplification
             # indicator; checkpoint traffic (above) stays outside the level.
             # The communicator names the rank group the tree is fitted
-            # over, so health compares each level among those ranks
+            # over, so health compares each level among those ranks, and
+            # a forest member's rows carry its tree index
             ctx.notify(
                 "begin_level",
                 level,
@@ -538,6 +539,7 @@ def fit_tree_program(
                 sum(t.columnset.nbytes for t in frontier),
                 ctx.comm.label,
                 ctx.size,
+                ctx.tree,
             )
         survival_mark = len(survival)
         frontier, n_processed = _process_level(

@@ -230,13 +230,14 @@ def _exchange_owned(
                     parts[d][(j, a.name)] = (
                         ns.hist[lo:hi], ns.vmin[lo:hi], ns.vmax[lo:hi]
                     )
-    if ctx.observers:
-        ctx.notify(
-            "on_exchange_payload",
-            config.exchange,
-            sum(payload_nbytes(parts[d]) for d in range(size) if d != rank),
-        )
+    sent0 = ctx.stats.bytes_sent
     incoming = comm.alltoall(parts)
+    if ctx.observers:
+        # the bytes the alltoall charged for the parts this rank sent
+        # (sizing them again would walk the payload a second time)
+        ctx.notify(
+            "on_exchange_payload", config.exchange, ctx.stats.bytes_sent - sent0
+        )
 
     # owners combine their shares (boundaries are replicated, so every
     # source addressed this rank the same keys) and sweep each one as

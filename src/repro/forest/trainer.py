@@ -414,9 +414,7 @@ def _forest_program(
         if my_tree in todo:
             if pool is not None:
                 pool.begin_tree(my_tree)
-            gctx = GroupContext(
-                ctx, group_comm, phase_prefix=f"tree{my_tree}/"
-            )
+            gctx = GroupContext(ctx, group_comm, tree=my_tree)
             t0 = ctx.clock.now
             res = fit_tree_program(
                 gctx,

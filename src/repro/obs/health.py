@@ -29,8 +29,10 @@ after another, so each group evaluates its levels in a fixed order and
 every derived number is deterministic. Groups finish in host-timing
 order, so the level rows are kept sorted by (attempt, group), each
 group's rows in the order it evaluated them: level order, tree by
-tree. Alerts are structured (:class:`HealthAlert`), never raised as
-exceptions: an unhealthy run completes and reports.
+tree. A forest member's rows (and alerts: "level 3 of tree 2") carry its
+tree index, since trees fitted one after another over the same group
+share its label. Alerts are structured (:class:`HealthAlert`), never
+raised as exceptions: an unhealthy run completes and reports.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ class LevelSummary:
     overlap_saved: float = 0.0  # prefetch seconds hidden behind compute
     group: str = WORLD  # label of the communicator the tree is fitted over
     group_size: int | None = None  # its rank count (None: every rank)
+    tree: int | None = None  # forest member index (None: a single tree)
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,7 @@ class LevelHealth:
     cache_hit_rate: float = 0.0  # hits / lookups (0.0 when no pool traffic)
     overlap_saved: float = 0.0  # prefetch seconds hidden behind compute
     group: str = WORLD  # rank group the level was measured over
+    tree: int | None = None  # forest member index (None: a single tree)
     alerts: tuple[HealthAlert, ...] = ()
 
 
@@ -239,7 +243,9 @@ class HealthMonitor:
         self.levels: list[LevelHealth] = []
         self._run_alerts: list[HealthAlert] = []  # post-run indicators
         self._lock = threading.Lock()
-        self._pending: dict[tuple[int, str, int], dict[int, LevelSummary]] = {}
+        self._pending: dict[
+            tuple[int, str, int | None, int], dict[int, LevelSummary]
+        ] = {}
         self._outside: list[CollectiveSample] = []
 
     @property
@@ -257,7 +263,7 @@ class HealthMonitor:
         evaluation, so results only depend on the summaries, never on
         host scheduling."""
         with self._lock:
-            key = (summary.attempt, summary.group, summary.level)
+            key = (summary.attempt, summary.group, summary.tree, summary.level)
             got = self._pending.setdefault(key, {})
             got[summary.rank] = summary
             if len(got) == (summary.group_size or self.n_ranks):
@@ -273,11 +279,15 @@ class HealthMonitor:
 
     # -- evaluation ----------------------------------------------------------
     def _evaluate(
-        self, attempt: int, group: str, level: int,
+        self, attempt: int, group: str, tree: int | None, level: int,
         summaries: list[LevelSummary],
     ) -> None:
         th = self.thresholds
-        where = f"level {level}" if group == WORLD else f"level {level} of {group}"
+        where = f"level {level}"
+        if tree is not None:
+            where += f" of tree {tree}"
+        if group != WORLD:
+            where += f" on {group}" if tree is not None else f" of {group}"
         busys = [s.busy for s in summaries]
         busy_max = max(busys)
         busy_mean = sum(busys) / len(busys)
@@ -352,6 +362,7 @@ class HealthMonitor:
                 attempt=attempt,
                 level=level,
                 group=group,
+                tree=tree,
                 n_frontier=summaries[0].n_frontier,
                 busy_max=busy_max,
                 busy_mean=busy_mean,
@@ -494,6 +505,7 @@ class HealthReport:
                 {
                     "attempt": lh.attempt,
                     "group": lh.group,
+                    "tree": lh.tree,
                     "level": lh.level,
                     "n_frontier": lh.n_frontier,
                     "busy_max": lh.busy_max,

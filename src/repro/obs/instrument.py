@@ -35,6 +35,7 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     RankShard,
+    add_to_histogram,
 )
 
 __all__ = ["MetricsRecorder", "attach_metrics", "PHASE_LABELS"]
@@ -227,19 +228,26 @@ class MetricsRecorder:
         self.monitor = monitor
         self.rank_label = str(ctx.rank)
         self._timer = ctx.timer  # hot-path alias (one hop, not two)
+        spec = shard.registry.spec
+        self._latency_buckets = spec("repro_collective_latency_seconds").buckets
+        self._payload_buckets = spec("repro_collective_payload_bytes").buckets
         self.attempt = 0
         self.level: int | None = None
-        # (op/label, level, open phase-timer name) -> prebuilt label
-        # tuples; invalidated implicitly because the key changes with
-        # the level/phase. Keeps the hot paths at one tuple build + one
-        # dict hit instead of five tuple builds + string mapping.
-        self._coll_keys: dict[tuple, tuple] = {}
-        self._disk_keys: dict[tuple, tuple] = {}
+        # (op/label, level, open phase-timer name) -> the registry cells
+        # of the series that event feeds; invalidated implicitly because
+        # the key changes with the level/phase. Keeps the hot paths at
+        # one tuple build and one dict hit, then plain list additions:
+        # no series key is built or hashed per event.
+        self._coll_cells: dict[tuple, tuple] = {}
+        self._disk_cells: dict[tuple, tuple] = {}
         self._seq: dict[str, int] = {}
         self._level_samples: list[CollectiveSample] = []
         self._outside_samples: list[CollectiveSample] = []
-        # (n_frontier, live_bytes, group label, group size) of the open level
-        self._level_meta: tuple[int, int, str, int | None] = (0, 0, WORLD, None)
+        # (n_frontier, live_bytes, group label, group size, tree) of the
+        # open level
+        self._level_meta: tuple[int, int, str, int | None, int | None] = (
+            0, 0, WORLD, None, None,
+        )
         self._busy0 = 0.0
         self._idle0 = 0.0
         self._io0 = 0
@@ -257,35 +265,39 @@ class MetricsRecorder:
         return "-" if self.level is None else str(self.level)
 
     # -- communicator events ------------------------------------------------
-    def record_collective(self, call: CommCall) -> None:
+    def _new_collective_cells(self, label: str, op: str) -> tuple:
         shard = self.shard
+        rank, lvl, phase = self.rank_label, self._level_label(), self._phase("collective")
+        busy_idle = (rank, op, lvl, phase)
+        return (
+            shard.counter_cell("repro_collective_calls_total", (rank, label, op, lvl, phase)),
+            shard.counter_cell("repro_collective_busy_seconds_total", busy_idle),
+            shard.counter_cell("repro_collective_idle_seconds_total", busy_idle),
+            # a byte series exists only once bytes move: keys, not cells
+            (rank, op, "sent"),
+            (rank, op, "received"),
+            shard.histogram_cell("repro_collective_latency_seconds", (op,)),
+            shard.histogram_cell("repro_collective_payload_bytes", (op,)),
+        )
+
+    def record_collective(self, call: CommCall) -> None:
         label, op = call.comm, call.op
         sent, received = call.sent, call.received
         ck = (label, op, self.level, self._timer.current)
-        keys = self._coll_keys.get(ck)
-        if keys is None:
-            rank, lvl, phase = (
-                self.rank_label,
-                self._level_label(),
-                self._phase("collective"),
-            )
-            keys = self._coll_keys[ck] = (
-                (rank, label, op, lvl, phase),  # calls
-                (rank, op, lvl, phase),  # busy / idle seconds
-                (rank, op, "sent"),
-                (rank, op, "received"),
-                (op,),  # histograms
-            )
+        cells = self._coll_cells.get(ck)
+        if cells is None:
+            cells = self._coll_cells[ck] = self._new_collective_cells(label, op)
+        calls, busy, idle, sent_key, received_key, latency, payload = cells
         duration = call.t_end - call.t_start
-        shard.inc("repro_collective_calls_total", keys[0])
+        calls[0] += 1.0
         if sent:
-            shard.inc("repro_collective_bytes_total", keys[2], sent)
+            self.shard.inc("repro_collective_bytes_total", sent_key, sent)
         if received:
-            shard.inc("repro_collective_bytes_total", keys[3], received)
-        shard.inc("repro_collective_busy_seconds_total", keys[1], call.busy)
-        shard.inc("repro_collective_idle_seconds_total", keys[1], call.idle)
-        shard.observe("repro_collective_latency_seconds", keys[4], duration)
-        shard.observe("repro_collective_payload_bytes", keys[4], max(sent, received))
+            self.shard.inc("repro_collective_bytes_total", received_key, received)
+        busy[0] += call.busy
+        idle[0] += call.idle
+        add_to_histogram(latency, self._latency_buckets, duration)
+        add_to_histogram(payload, self._payload_buckets, max(sent, received))
         seq = self._seq.get(label, 0)
         self._seq[label] = seq + 1
         if self.monitor is None:
@@ -311,28 +323,27 @@ class MetricsRecorder:
             )
 
     # -- disk, phase and fault events ----------------------------------------
+    def _new_disk_cells(self, op: str) -> tuple:
+        cell = self.shard.counter_cell
+        labels = (self.rank_label, op, self._level_label(), self._phase("io"))
+        return (
+            cell("repro_disk_calls_total", labels),
+            cell("repro_disk_seconds_total", labels),
+            # a retry moves no bytes: it counts one retry instead
+            cell("repro_io_retries_total", (self.rank_label,))
+            if op == "retry"
+            else cell("repro_disk_bytes_total", labels),
+        )
+
     def record_disk(self, op: str, nbytes: int, t_start: float, t_end: float) -> None:
-        # the highest-frequency hook (every chunk access); caches the
-        # full counter keys and writes the shard's dict directly
+        # the highest-frequency hook (every chunk access)
         ck = (op, self.level, self._timer.current)
-        key = self._disk_keys.get(ck)
-        if key is None:
-            labels = (self.rank_label, op, self._level_label(), self._phase("io"))
-            key = self._disk_keys[ck] = (
-                ("repro_disk_calls_total", labels),
-                ("repro_disk_seconds_total", labels),
-                ("repro_disk_bytes_total", labels),
-            )
-        counters = self.shard.counters
-        k = key[0]
-        counters[k] = counters.get(k, 0.0) + 1.0
-        k = key[1]
-        counters[k] = counters.get(k, 0.0) + (t_end - t_start)
-        if op == "retry":
-            self.shard.inc("repro_io_retries_total", (self.rank_label,))
-        else:
-            k = key[2]
-            counters[k] = counters.get(k, 0.0) + nbytes
+        cells = self._disk_cells.get(ck)
+        if cells is None:
+            cells = self._disk_cells[ck] = self._new_disk_cells(op)
+        cells[0][0] += 1.0
+        cells[1][0] += t_end - t_start
+        cells[2][0] += 1.0 if op == "retry" else nbytes
 
     def record_phase(self, name: str, t_start: float, t_end: float) -> None:
         phase = PHASE_LABELS.get(name, name)
@@ -359,13 +370,15 @@ class MetricsRecorder:
         live_bytes: int,
         group: str,
         group_size: int,
+        tree: int | None = None,
     ) -> None:
         """A frontier level opens on this rank; ``group``/``group_size``
         name the communicator the tree is fitted over, whose ranks the
-        health monitor compares this level among."""
+        health monitor compares this level among, and ``tree`` the
+        forest member (None for a single-tree fit)."""
         stats = self.ctx.stats
         self.level = level
-        self._level_meta = (n_frontier, int(live_bytes), group, group_size)
+        self._level_meta = (n_frontier, int(live_bytes), group, group_size, tree)
         self._level_samples = []
         self._busy0 = stats.busy_time()
         self._idle0 = stats.idle_time
@@ -416,6 +429,7 @@ class MetricsRecorder:
             overlap_saved=stats.io_overlap_saved - self._overlap0,
             group=self._level_meta[2],
             group_size=self._level_meta[3],
+            tree=self._level_meta[4],
         )
         self.level = None
         self._level_samples = []

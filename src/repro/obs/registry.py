@@ -12,7 +12,11 @@ Design constraints, in order:
 2. **Low overhead.** Recording is a dict update on a pre-built
    ``(name, label-values)`` tuple key — no locks, no string formatting,
    no timestamping beyond the simulated clock values callers already
-   hold. Histograms use exemplar-free fixed bucket arrays.
+   hold. Every series lives in a small list *cell*, so a hot path can
+   keep the cell (:meth:`RankShard.counter_cell`,
+   :meth:`RankShard.histogram_cell`) and add to it without building or
+   hashing the key again. Histograms use exemplar-free fixed bucket
+   arrays.
 3. **Prometheus compatibility.** Metric and label naming follow the
    Prometheus data model so :func:`repro.obs.prometheus.to_prometheus`
    is a straight serialization.
@@ -39,6 +43,7 @@ __all__ = [
     "MetricSpec",
     "MetricsRegistry",
     "RankShard",
+    "add_to_histogram",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_BYTES_BUCKETS",
 ]
@@ -79,6 +84,15 @@ class MetricSpec:
                 raise ValueError(f"histogram {self.name!r} buckets not sorted")
 
 
+def add_to_histogram(cell: list[float], buckets: tuple[float, ...], value: float) -> None:
+    """Count ``value`` into a histogram cell ``[bucket counts..., sum,
+    count]`` over ``buckets``."""
+    # first edge with value <= edge; the +inf sentinel guarantees a hit
+    cell[bisect_left(buckets, value)] += 1.0
+    cell[-2] += value
+    cell[-1] += 1.0
+
+
 # convenience aliases so callers can declare intent
 def Counter(name: str, help: str = "", labelnames: Iterable[str] = ()) -> MetricSpec:
     """Monotonically increasing value (bytes moved, calls made)."""
@@ -108,36 +122,45 @@ class RankShard:
     are needed anywhere on the hot path.
     """
 
-    __slots__ = ("registry", "rank", "counters", "gauges", "histograms", "_buckets")
+    __slots__ = ("registry", "rank", "counters", "gauges", "histograms")
 
     def __init__(self, registry: "MetricsRegistry", rank: int) -> None:
         self.registry = registry
         self.rank = rank
-        self.counters: dict[tuple[str, tuple[str, ...]], float] = {}
+        # counter cell: [value]
+        self.counters: dict[tuple[str, tuple[str, ...]], list[float]] = {}
         self.gauges: dict[tuple[str, tuple[str, ...]], float] = {}
         # histogram cell: [bucket counts..., sum, count]
         self.histograms: dict[tuple[str, tuple[str, ...]], list[float]] = {}
-        self._buckets: dict[str, tuple[float, ...]] = {}
+
+    def counter_cell(self, name: str, labels: tuple[str, ...] = ()) -> list[float]:
+        """The cell ``[value]`` of one counter series, created at 0."""
+        key = (name, labels)
+        cell = self.counters.get(key)
+        if cell is None:
+            cell = self.counters[key] = [0.0]
+        return cell
+
+    def histogram_cell(self, name: str, labels: tuple[str, ...] = ()) -> list[float]:
+        """The cell of one histogram series (see :func:`add_to_histogram`),
+        created empty."""
+        key = (name, labels)
+        cell = self.histograms.get(key)
+        if cell is None:
+            n = len(self.registry.spec(name).buckets)
+            cell = self.histograms[key] = [0.0] * (n + 2)
+        return cell
 
     def inc(self, name: str, labels: tuple[str, ...] = (), value: float = 1.0) -> None:
-        key = (name, labels)
-        self.counters[key] = self.counters.get(key, 0.0) + value
+        self.counter_cell(name, labels)[0] += value
 
     def set(self, name: str, labels: tuple[str, ...] = (), value: float = 0.0) -> None:
         self.gauges[(name, labels)] = float(value)
 
     def observe(self, name: str, labels: tuple[str, ...] = (), value: float = 0.0) -> None:
-        buckets = self._buckets.get(name)
-        if buckets is None:
-            buckets = self._buckets[name] = self.registry.spec(name).buckets
-        key = (name, labels)
-        cell = self.histograms.get(key)
-        if cell is None:
-            cell = self.histograms[key] = [0.0] * (len(buckets) + 2)
-        # first edge with value <= edge; the +inf sentinel guarantees a hit
-        cell[bisect_left(buckets, value)] += 1.0
-        cell[-2] += value
-        cell[-1] += 1.0
+        add_to_histogram(
+            self.histogram_cell(name, labels), self.registry.spec(name).buckets, value
+        )
 
 
 @dataclass
@@ -205,7 +228,7 @@ class MetricsRegistry:
         gauges: dict[tuple[str, tuple[str, ...]], float] = {}
         hists: dict[tuple[str, tuple[str, ...]], list[float]] = {}
         for shard in self.shards:  # ascending rank order
-            for key, v in shard.counters.items():
+            for key, (v,) in shard.counters.items():
                 counters[key] = counters.get(key, 0.0) + v
             for key, v in shard.gauges.items():
                 gauges[key] = v

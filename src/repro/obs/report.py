@@ -58,6 +58,8 @@ def render_health_markdown(report: HealthReport, title: str = "Run health") -> s
         lines.append("|---|---|---|---|---|---|---|---|---|")
         for lh in report.levels:
             name = _level_name(lh.level)
+            if lh.tree is not None:
+                name = f"{name} (tree {lh.tree})"
             if lh.attempt:
                 name = f"{name} (attempt {lh.attempt})"
             lines.append(

@@ -117,6 +117,27 @@ def test_trace_metrics_and_stats_agree_on_a_split_forest(quest):
     assert_views_agree(res, ds.contexts, stats0)
 
 
+@pytest.mark.parametrize("exchange", ["attribute", "distributed"])
+def test_exchange_payload_is_what_the_stats_alltoall_sent(quest, exchange):
+    """The owner-side exchange reports, per rank, the bytes its stats
+    alltoall charged for the shares that rank shipped."""
+    ds = dataset(quest)
+    cfg = PCloudsConfig(
+        clouds=CloudsConfig(q_root=60, sample_size=400, min_node=8),
+        q_switch=8,
+        exchange=exchange,
+    )
+    res = PClouds(cfg).fit(ds, seed=2, trace=True, metrics=True)
+    payload = totals(res.metrics, "repro_exchange_payload_bytes_total", 0)
+    for tracer in res.tracers:
+        sent = sum(
+            e.sent for e in tracer.comm_events()
+            if e.op == "alltoall" and e.phase == "stats"
+        )
+        assert sent > 0
+        assert payload[(str(tracer.rank),)] == sent
+
+
 def test_irecv_bytes_reach_metrics():
     """A receive completed by ``irecv().wait()`` is one ``recv`` event for
     every observer, so metrics count its bytes like the trace does."""

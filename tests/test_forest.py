@@ -424,6 +424,26 @@ class TestForestMetrics:
             mine = [lh.level for lh in levels if lh.group == group]
             assert mine == list(range(len(mine)))
 
+    def test_data_regime_levels_name_their_tree(self, quest):
+        """The data regime fits every tree over the whole machine, so the
+        group label is ``world`` on every row: the tree index tells the
+        trees' levels apart."""
+        ds = make_dataset(quest, 4)
+        res = PForest(forest_config("data")).fit(ds, seed=SEED, metrics=True)
+        assert res.n_groups == 1
+        levels = res.health.levels
+        assert {lh.group for lh in levels} == {"world"}
+        trees = [lh.tree for lh in levels]
+        assert trees == sorted(trees)
+        assert set(trees) == set(range(B))
+        for t in range(B):
+            mine = [lh.level for lh in levels if lh.tree == t]
+            assert mine == list(range(len(mine)))
+        rows = res.health.to_dict()["levels"]
+        assert [(r["group"], r["tree"]) for r in rows] == [
+            ("world", t) for t in trees
+        ]
+
     @pytest.mark.parametrize("regime", ["tree", "hybrid"])
     def test_health_report_is_deterministic(self, quest, regime):
         """Groups finish in host-timing order; the report must not."""

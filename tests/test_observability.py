@@ -245,6 +245,28 @@ class TestHealthMonitor:
         assert "busy-time imbalance 1.50" in md
         assert "gather cost drift 3.000" in md
 
+    def test_forest_member_rows_and_alerts_name_their_tree(self):
+        """Trees fitted one after another over one group share its
+        label; the tree index tells their levels apart, in the row, the
+        alert and the markdown. A single tree's alert text is as before."""
+        th = HealthThresholds(imbalance=1.2)
+        mon = HealthMonitor(2, NET, th)
+        for tree in (None, 2):
+            for rank, busy in ((0, 3.0), (1, 1.0)):
+                mon.publish(LevelSummary(
+                    rank=rank, attempt=0, level=3, busy=busy, idle=0.0,
+                    io_bytes=100, live_bytes=100, n_frontier=1, tree=tree,
+                ))
+        assert [lh.tree for lh in mon.levels] == [None, 2]
+        assert [a.message.split(":")[0] for a in mon.alerts] == [
+            "level 3", "level 3 of tree 2",
+        ]
+        report = HealthReport.from_monitor(mon)
+        assert [r["tree"] for r in report.to_dict()["levels"]] == [None, 2]
+        md = render_health_markdown(report)
+        assert "| 3 (tree 2) |" in md
+        assert "| 3 |" in md
+
     def test_balanced_level_stays_silent(self):
         mon = HealthMonitor(2, NET)
         clean = _gather_samples(2, [1000, 1000])
