@@ -86,6 +86,10 @@ def run_point(n_records: int, p: int, mode: str, scale: float) -> dict:
             prefetch_useful=int(
                 sum(p_.stats.prefetch_useful for p_ in pools)
             ),
+            write_admits=int(sum(p_.stats.write_admits for p_ in pools)),
+            write_admit_bytes=int(
+                sum(p_.stats.write_admit_bytes for p_ in pools)
+            ),
             budget_ok=all(
                 c.pool_budget.high_water <= c.pool_budget.limit
                 for c in ctxs

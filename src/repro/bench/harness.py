@@ -184,7 +184,9 @@ class ForestExperimentConfig(ExperimentConfig):
         # tree-parallel working set of one group rank: its share of the
         # base spool plus the bag spool it fits from (a full bag when
         # groups are single ranks), with slack for the child spools the
-        # partition pass writes alongside
+        # partition pass writes alongside; those children are
+        # write-allocated into the pool, so the slack is what keeps a
+        # level's children resident for the next level's reads
         working = self.n_records * row_nbytes * (1.0 / self.n_ranks + 1.0)
         return max(
             int(1.25 * working),

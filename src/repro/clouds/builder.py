@@ -136,11 +136,16 @@ def partition_columnset(
 
     Children are written in whole chunks (:class:`ChunkWriter`), so each
     child file holds ``ceil(rows / chunk_rows)`` chunks at every depth,
-    whatever the chunking of the fragment it came from.
+    whatever the chunking of the fragment it came from, and are
+    write-allocated into the rank's buffer pool.
     """
     schema = cs.schema
-    left = ChunkWriter(ColumnSet(cs.disk, schema, name=f"{cs.name}/L"))
-    right = ChunkWriter(ColumnSet(cs.disk, schema, name=f"{cs.name}/R"))
+    left = ChunkWriter(
+        ColumnSet(cs.disk, schema, name=f"{cs.name}/L"), write_allocate=True
+    )
+    right = ChunkWriter(
+        ColumnSet(cs.disk, schema, name=f"{cs.name}/R"), write_allocate=True
+    )
     left_counts = np.zeros(schema.n_classes, dtype=np.int64)
     for batch, labels in cs.iter_batches():
         mask = split.goes_left(batch[split.attribute])

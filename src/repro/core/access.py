@@ -98,6 +98,7 @@ class InCoreAccess(NodeAccess):
             {k: v[mask] for k, v in self.columns.items()},
             self.labels[mask],
             name=f"{self.cs.name}/L",
+            write_allocate=True,
         )
         right = ColumnSet.from_arrays(
             self.ctx.disk,
@@ -105,6 +106,7 @@ class InCoreAccess(NodeAccess):
             {k: v[~mask] for k, v in self.columns.items()},
             self.labels[~mask],
             name=f"{self.cs.name}/R",
+            write_allocate=True,
         )
         return left, right, class_counts(self.labels[mask], self.schema.n_classes)
 

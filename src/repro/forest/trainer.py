@@ -576,6 +576,8 @@ _POOL_KEYS = (
     "evictions",
     "cross_tree_hits",
     "cross_tree_hit_bytes",
+    "write_admits",
+    "write_admit_bytes",
 )
 
 

@@ -122,6 +122,11 @@ def _register_metrics(registry: MetricsRegistry) -> None:
             ("rank",),
         ),
         Counter(
+            "repro_ooc_cache_write_admits_total",
+            "Partition-child chunks admitted to the buffer pool as written",
+            ("rank",),
+        ),
+        Counter(
             "repro_ooc_prefetch_total",
             "Overlapped prefetches by outcome (issued|useful|wasted)",
             ("rank", "outcome"),
@@ -505,6 +510,10 @@ class MetricsRecorder:
             )
             self.shard.inc(
                 "repro_ooc_cache_evictions_total", (rank,), float(ps.evictions)
+            )
+            self.shard.inc(
+                "repro_ooc_cache_write_admits_total", (rank,),
+                float(ps.write_admits),
             )
             for outcome, v in (
                 ("issued", ps.prefetch_issued),

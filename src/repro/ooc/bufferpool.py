@@ -7,26 +7,42 @@ issued ahead of the computation, pays for I/O the algorithm does not
 need. The :class:`BufferPool` models both remedies on the simulated
 machine:
 
-* **Caching** — chunk payloads read from the local disk are retained in
-  an LRU cache accounted against a :class:`~repro.ooc.memory.MemoryBudget`
-  (the rank's cache RAM, distinct from the paper's node-processing limit
-  that decides in-core vs. streaming). A cache hit serves the payload
-  for a small memory-copy charge instead of a seek + transfer, so the
-  SSE member pass and the partition pass of a node whose columns fit the
-  pool stop re-reading the disk.
+* **Caching** — a chunk is admitted into an LRU cache accounted against
+  a :class:`~repro.ooc.memory.MemoryBudget` (the rank's cache RAM,
+  distinct from the paper's node-processing limit that decides in-core
+  vs. streaming) in two ways. *On read*: a streaming read
+  (:meth:`BufferPool.read`) admits the chunk it fetched. *On partition
+  write* (write-allocate): every chunk of a partition child is admitted
+  as it is stored, so the next level reads the child it is about to
+  process from memory instead of re-reading what the level above just
+  wrote. The write is still charged to the disk (write-through), so
+  spool files, checkpoints and recovery do not change. A child is
+  write-allocated only when the pool can hold one whole row batch of it
+  (:func:`~repro.ooc.columnset.default_batch_rows` rows); a pool smaller
+  than one disk block, whose chunks are a block, admits no child. A
+  cache hit serves the payload for a small memory-copy charge instead of
+  a seek + transfer.
 * **Overlapped prefetch** — during a streaming scan the read of chunk
   *i+1* is issued while chunk *i* computes. The disk tracks an
   I/O-completion horizon (:attr:`~repro.ooc.disk.LocalDisk.io_front`);
   when the consumer arrives at the prefetched chunk it waits only for
   the *remaining* transfer time, and the time saved is accounted in
-  ``RankStats.io_overlap_saved``.
+  ``RankStats.io_overlap_saved``. In-flight prefetches are also kept in
+  their own map, so the demand-preemption walk that runs on every
+  charged access (:meth:`BufferPool.delay_inflight`) visits only them,
+  not every resident chunk.
 
-Integrity contract: a miss admits its payload with exactly one CRC
+Integrity contract: a read miss admits its payload with exactly one CRC
 verification (in :meth:`~repro.ooc.disk.LocalDisk.fetch_chunk`); hits
 skip the CRC re-walk because cached payloads are returned as read-only
-arrays that nothing can have mutated. ``overwrite``/``delete`` on the
-backing store invalidate the cached entry, so fault-injected bit flips
-are still caught by the CRC on the next (uncached) read.
+arrays that nothing can have mutated. A write admission caches the
+backend's own stored, read-only payload, never the caller's array, and
+it happens in the innermost backend wrapper
+(:class:`~repro.ooc.disk._InvalidatingBackend`), below any fault
+injector. ``overwrite``/``delete`` on the backing store invalidate the
+cached entry through that same wrapper, so a fault-injected bit flip,
+even one written right after the put, is still caught by the CRC on the
+next (uncached) read.
 
 Determinism: the pool only changes *when* time is charged and which
 array object a reader receives — never payload values, RNG draws, or
@@ -37,8 +53,9 @@ off.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -80,6 +97,9 @@ class PoolStats:
     #: consumer (``begin_tree``) — the forest's shared-cache payoff
     cross_tree_hits: int = 0
     cross_tree_hit_bytes: int = 0
+    #: partition-child chunks admitted as they were written
+    write_admits: int = 0
+    write_admit_bytes: int = 0
 
     def lookups(self) -> int:
         return self.hits + self.misses
@@ -96,7 +116,7 @@ class PoolStats:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     """One cached chunk: resident (``array`` set) or in-flight prefetch
     (``array`` is None until the consumer completes the read)."""
@@ -130,7 +150,12 @@ class BufferPool:
     #: attributed to the shared cache rather than within-tree reuse
     current_tree: int | None = None
     _entries: "OrderedDict[object, _Entry]" = field(default_factory=OrderedDict)
+    #: the in-flight prefetches among ``_entries`` (``array`` is None)
+    _inflight: "dict[object, _Entry]" = field(default_factory=dict)
     _pinned: set = field(default_factory=set)
+    #: set while a partition child's chunks are stored (write-allocate,
+    #: :meth:`admitting_writes`)
+    admit_writes: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         if self.budget.limit is None:
@@ -223,6 +248,7 @@ class BufferPool:
         self.stats.overlap_saved_s += saved
         arr = _read_only(self.disk.fetch_chunk(handle, nbytes, crc))
         entry.array = arr
+        del self._inflight[handle]
         self._entries.move_to_end(handle)
         return arr
 
@@ -240,7 +266,7 @@ class BufferPool:
             return
         self.budget.acquire(nbytes)
         completion, rated_dt = self.disk.issue_prefetch_io(nbytes)
-        self._entries[handle] = _Entry(
+        self._entries[handle] = self._inflight[handle] = _Entry(
             nbytes=int(nbytes), completion=completion, rated_dt=rated_dt,
             tree=self.current_tree,
         )
@@ -251,11 +277,32 @@ class BufferPool:
         running ``[t0, t0+delay)`` preempted; returns the latest slipped
         completion (0.0 when nothing was in flight)."""
         latest = 0.0
-        for entry in self._entries.values():
-            if entry.array is None and entry.completion > t0:
+        for entry in self._inflight.values():
+            if entry.completion > t0:
                 entry.completion += delay
                 latest = max(latest, entry.completion)
         return latest
+
+    # -- the write path ------------------------------------------------------
+    @contextmanager
+    def admitting_writes(self) -> Iterator[None]:
+        """Write-allocate every chunk stored inside the block: the disk's
+        innermost backend wrapper hands each stored payload to
+        :meth:`admit_write`."""
+        self.admit_writes = True
+        try:
+            yield
+        finally:
+            self.admit_writes = False
+
+    def admit_write(self, handle: object, nbytes: int, stored: np.ndarray) -> None:
+        """Admit a chunk as it is written (its disk write is charged
+        separately). ``stored`` is the backend's own payload, so the cache
+        holds no second copy, and an overwrite of the handle invalidates
+        it like any other entry."""
+        if self._admit(handle, nbytes, _read_only(stored)):
+            self.stats.write_admits += 1
+            self.stats.write_admit_bytes += int(nbytes)
 
     # -- invalidation --------------------------------------------------------
     def invalidate(self, handle: object) -> None:
@@ -267,15 +314,17 @@ class BufferPool:
         self.budget.release(entry.nbytes)
         self.stats.invalidations += 1
         if entry.array is None:
+            del self._inflight[handle]
             self.stats.prefetch_wasted += 1
 
     def drop_inflight(self) -> None:
         """Forget un-consumed prefetches (their completion times belong
         to a clock that is being reset between runs)."""
-        for handle in [h for h, e in self._entries.items() if e.array is None]:
-            entry = self._entries.pop(handle)
+        for handle, entry in self._inflight.items():
+            del self._entries[handle]
             self.budget.release(entry.nbytes)
             self.stats.prefetch_wasted += 1
+        self._inflight.clear()
 
     def clear(self) -> None:
         """Drop everything (backend closed or machine torn down)."""
@@ -284,17 +333,19 @@ class BufferPool:
             if entry.array is None:
                 self.stats.prefetch_wasted += 1
         self._entries.clear()
+        self._inflight.clear()
         self._pinned.clear()
 
     # -- internals -----------------------------------------------------------
-    def _admit(self, handle: object, nbytes: int, arr: np.ndarray) -> None:
+    def _admit(self, handle: object, nbytes: int, arr: np.ndarray) -> bool:
         if not self._make_room(nbytes):
             self.stats.bypasses += 1
-            return
+            return False
         self.budget.acquire(nbytes)
         self._entries[handle] = _Entry(
             nbytes=int(nbytes), array=arr, tree=self.current_tree
         )
+        return True
 
     def _make_room(self, nbytes: int) -> bool:
         if nbytes > self.capacity:

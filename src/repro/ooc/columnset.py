@@ -60,11 +60,17 @@ class ColumnSet:
         labels: np.ndarray,
         name: str = "",
         batch_rows: int | None = None,
+        *,
+        write_allocate: bool = False,
     ) -> "ColumnSet":
         """Write in-memory columns to disk in chunks of ``batch_rows`` rows
         (default :func:`default_batch_rows`), the granularity of later
-        scans. Each chunk is written from a view of the inputs."""
-        writer = ChunkWriter(cls(disk, schema, name=name), batch_rows)
+        scans. Each chunk is written from a view of the inputs.
+        ``write_allocate`` marks a partition child (see
+        :class:`ChunkWriter`)."""
+        writer = ChunkWriter(
+            cls(disk, schema, name=name), batch_rows, write_allocate=write_allocate
+        )
         writer.write(columns, labels)
         return writer.close()
 
@@ -166,11 +172,30 @@ class ChunkWriter:
     than one disk block. Held pieces are views of the caller's arrays
     until they are written, so the caller must not modify them before
     :meth:`close`.
+
+    A partition child is written with ``write_allocate=True``: when the
+    rank's buffer pool can hold one whole chunk of rows, every chunk is
+    also admitted into the pool as it is stored, so the next level reads
+    it from memory (the write is still charged).
     """
 
-    def __init__(self, cs: ColumnSet, chunk_rows: int | None = None) -> None:
+    def __init__(
+        self,
+        cs: ColumnSet,
+        chunk_rows: int | None = None,
+        *,
+        write_allocate: bool = False,
+    ) -> None:
         self.cs = cs
         self.chunk_rows = chunk_rows or default_batch_rows(cs.disk, cs.schema)
+        pool = cs.disk.pool
+        self._pool = (
+            pool
+            if write_allocate
+            and pool is not None
+            and pool.would_cache(self.chunk_rows * cs.schema.row_nbytes())
+            else None
+        )
         self._held: list[tuple[dict[str, np.ndarray], np.ndarray]] = []
         self._held_rows = 0
 
@@ -193,12 +218,19 @@ class ChunkWriter:
 
     def _flush(self) -> None:
         if len(self._held) == 1:  # a chunk from one piece is written as a view
-            self.cs.append_batch(*self._held[0])
+            self._append(*self._held[0])
         elif self._held:
             names = self._held[0][0]
-            self.cs.append_batch(
+            self._append(
                 {k: np.concatenate([c[k] for c, _ in self._held]) for k in names},
                 np.concatenate([lab for _, lab in self._held]),
             )
         self._held = []
         self._held_rows = 0
+
+    def _append(self, columns: dict[str, np.ndarray], labels: np.ndarray) -> None:
+        if self._pool is None:
+            self.cs.append_batch(columns, labels)
+            return
+        with self._pool.admitting_writes():
+            self.cs.append_batch(columns, labels)

@@ -229,14 +229,25 @@ class _InvalidatingBackend(StorageBackend):
     """Innermost backend wrapper: keeps the buffer pool coherent with the
     store. It sits *inside* any fault-injection wrapper, so even faults
     that rewrite payloads directly on the inner backend (bit-flip
-    corruption) pass through here and drop the stale cache line."""
+    corruption) pass through here and drop the stale cache line.
+
+    It is also where partition children are write-allocated: while the
+    pool is :meth:`~repro.ooc.bufferpool.BufferPool.admitting_writes`, a
+    put admits the payload the backend stored. A bit flip the injector
+    writes right after that put goes through :meth:`overwrite` here and
+    invalidates the entry, so the CRC still catches it on the next read;
+    admitting the caller's array after ``store_chunk`` returns would
+    cache the good bytes and hide the flip."""
 
     def __init__(self, inner: StorageBackend, pool) -> None:
         self._inner = inner
         self._pool = pool
 
     def put(self, arr):
-        return self._inner.put(arr)
+        handle = self._inner.put(arr)
+        if self._pool.admit_writes:
+            self._pool.admit_write(handle, arr.nbytes, self._inner.get(handle))
+        return handle
 
     def get(self, handle):
         return self._inner.get(handle)

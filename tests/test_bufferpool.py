@@ -9,9 +9,11 @@ cache, and fault-injected corruption is still caught through the cache.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.harness import ExperimentConfig, build_cluster, run_pclouds
-from repro.cluster import Cluster, standard_plans
+from repro.cluster import Cluster, CorruptChunk, FaultPlan, standard_plans
 from repro.cluster.clock import SimClock
 from repro.cluster.diskmodel import DiskModel
 from repro.cluster.stats import RankStats
@@ -204,6 +206,147 @@ class TestPrefetch:
         assert disk.pool.budget.reserved == 512 * 8  # only chunk 0 resident
 
 
+class TestInflightMap:
+    """In-flight prefetches live in their own map, so the preemption walk
+    on every charged access visits only them."""
+
+    @staticmethod
+    def full_walk(pool, t0, delay):
+        """Every in-flight entry a demand access preempts, found by
+        walking all entries: (latest slipped completion, slipped set)."""
+        slipped = {
+            h: e.completion + delay
+            for h, e in pool._entries.items()
+            if e.array is None and e.completion > t0
+        }
+        return max(slipped.values(), default=0.0), slipped
+
+    OPS = ("prefetch", "read", "peek", "write", "invalidate", "drop", "clear")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(OPS),
+                st.integers(0, 11),
+                st.floats(0.0, 0.05),
+            ),
+            max_size=40,
+        )
+    )
+    def test_inflight_map_matches_entries(self, ops):
+        disk = make_disk(pool_bytes=6 * 64 * 8, prefetch=True)
+        pool = disk.pool
+        arr, _ = chunked_array(disk, nchunks=8, rows=64)
+        chunks = list(zip(arr.chunk_handles, arr._crcs))
+        rng = np.random.default_rng(0)
+        for op, i, dt in ops:
+            handle, crc = chunks[i % len(chunks)]
+            nbytes = 64 * 8
+            disk.clock.advance(dt)
+            if op == "prefetch":
+                pool.issue_prefetch(handle, nbytes)
+            elif op == "read":
+                pool.read(handle, nbytes, crc)
+            elif op == "peek":
+                pool.peek(handle, nbytes, crc)
+            elif op == "write":
+                with pool.admitting_writes():
+                    chunks.append(disk.store_chunk(rng.standard_normal(64)))
+            elif op == "invalidate":
+                pool.invalidate(handle)
+            elif op == "drop":
+                pool.drop_inflight()
+            else:
+                pool.clear()
+            assert pool._inflight.keys() == {
+                h for h, e in pool._entries.items() if e.array is None
+            }
+            assert all(pool._inflight[h] is pool._entries[h] for h in pool._inflight)
+            t0, delay = disk.clock.now - dt, dt
+            expected, slipped = self.full_walk(pool, t0, delay)
+            assert pool.delay_inflight(t0, delay) == expected
+            assert {
+                h: pool._entries[h].completion for h in slipped
+            } == slipped
+            assert pool.budget.reserved == sum(
+                e.nbytes for e in pool._entries.values()
+            )
+
+
+class TestWriteAllocate:
+    """Partition children are admitted into the pool as they are written,
+    from the backend's stored payload, inside the innermost wrapper."""
+
+    def child(self, disk, n=600, write_allocate=True):
+        schema = quest_schema()
+        cols, labels = generate_quest(n, function=2, seed=0)
+        return ColumnSet.from_arrays(
+            disk, schema, cols, labels, name="c", write_allocate=write_allocate
+        )
+
+    def test_child_chunks_are_resident_and_read_all_hits(self):
+        disk = make_disk(pool_bytes=1 << 20)
+        cs = self.child(disk)
+        handles = [h for f in cs.files() for h in f.chunk_handles]
+        pool = disk.pool
+        assert pool.stats.write_admits == len(handles)
+        assert pool.stats.write_admit_bytes == cs.nbytes
+        assert all(pool._entries[h].array is not None for h in handles)
+        written, read0 = disk.stats.bytes_written, disk.stats.bytes_read
+        assert written == cs.nbytes  # write-through: the disk write is charged
+        cs.read_all()
+        assert disk.stats.bytes_read == read0
+        assert pool.stats.hits == len(handles) and pool.stats.misses == 0
+
+    def test_setup_writes_and_sub_block_pools_are_not_admitted(self):
+        disk = make_disk(pool_bytes=1 << 20)
+        self.child(disk, write_allocate=False)
+        assert disk.pool.stats.write_admits == 0 and not disk.pool._entries
+        # a pool smaller than one row batch (one 64 KiB block) admits nothing
+        small = make_disk(pool_bytes=16 * 1024)
+        schema = quest_schema()
+        assert not small.pool.would_cache(
+            default_batch_rows(small, schema) * schema.row_nbytes()
+        )
+        self.child(small)
+        assert small.pool.stats.write_admits == 0 and not small.pool._entries
+
+    def test_admitted_payload_is_the_stored_read_only_array(self):
+        disk = make_disk(pool_bytes=1 << 20)
+        cs = self.child(disk)
+        handle = cs.labels_file.chunk_handles[0]
+        cached = disk.pool._entries[handle].array
+        assert not cached.flags.writeable
+        stored = disk.backend.get(handle)
+        assert np.shares_memory(cached, stored)
+
+    def test_overwrite_drops_the_entry_and_crc_catches_the_flip(self):
+        disk = make_disk(pool_bytes=1 << 20)
+        cs = self.child(disk)
+        f = cs.labels_file
+        handle = f.chunk_handles[0]
+        reserved = disk.pool.budget.reserved
+        stored = disk.backend.get(handle)
+        raw = bytearray(stored.tobytes())
+        raw[0] ^= 1
+        disk.backend.overwrite(
+            handle, np.frombuffer(bytes(raw), dtype=stored.dtype)
+        )
+        assert handle not in disk.pool._entries
+        assert disk.pool.budget.reserved == reserved - stored.nbytes
+        with pytest.raises(ChunkCorruptionError):
+            f.read_all()
+
+    def test_delete_drops_every_entry(self):
+        disk = make_disk(pool_bytes=1 << 20)
+        cs = self.child(disk)
+        n = disk.pool.stats.write_admits
+        cs.delete()
+        assert not disk.pool._entries and disk.pool.budget.reserved == 0
+        assert disk.pool.stats.invalidations == n
+
+
 class TestStackedMasks:
     @pytest.mark.parametrize("with_nan", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -325,6 +468,44 @@ class TestBitIdentity:
         )
         base, _ = fit_tree("lru")
         faulty, res = fit_tree("lru", faults=plan)
+        assert faulty.tree.to_dict() == base.tree.to_dict()
+
+    @pytest.mark.parametrize("nth_put", [2, 40, 120])
+    def test_corrupt_write_admitted_child_is_caught(self, nth_put):
+        """A bit flip written right after the put of a write-admitted
+        child chunk must invalidate the cached copy: the CRC fires on the
+        victim rank and recovery converges to the fault-free tree.
+        Admitting the caller's array after ``store_chunk`` returns would
+        cache the good bytes, and no rank would see the flip."""
+        admitted = {}
+
+        class PutLog:
+            def __init__(self, inner, pool, log):
+                self._inner, self._pool, self._log = inner, pool, log
+
+            def put(self, arr):
+                self._log.append(self._pool.admit_writes)
+                return self._inner.put(arr)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        fit = PClouds.fit
+
+        def logged_fit(pc, dataset, **kwargs):
+            for c in dataset.contexts:
+                admitted[c.rank] = []
+                c.disk.backend = PutLog(c.disk.backend, c.disk.pool, admitted[c.rank])
+            return fit(pc, dataset, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PClouds, "fit", logged_fit)
+            base, _ = fit_tree("lru")
+        assert admitted[1][nth_put]  # the victim chunk is write-admitted
+        plan = FaultPlan.of("corrupt-child", CorruptChunk(rank=1, nth_put=nth_put))
+        faulty, ds = fit_tree("lru", faults=plan)
+        assert ds.contexts[1].stats.crc_failures >= 1
+        assert faulty.n_restarts >= 1
         assert faulty.tree.to_dict() == base.tree.to_dict()
 
 

@@ -79,6 +79,10 @@ def assert_views_agree(res, contexts, stats0):
         op: v for op, v in disk.items() if v
     }
 
+    admits = totals(reg, "repro_ooc_cache_write_admits_total", 0)
+    for ctx in contexts:
+        assert admits[(str(ctx.rank),)] == ctx.disk.pool.stats.write_admits
+
     drift = res.health.drift_ops
     assert drift
     for op, (observed, predicted) in drift.items():
@@ -98,6 +102,7 @@ def test_trace_metrics_and_stats_agree_on_a_fit(quest, exchange, method):
     )
     res = PClouds(cfg).fit(ds, seed=2, trace=True, metrics=True)
     assert_views_agree(res, ds.contexts, stats0)
+    assert any(c.disk.pool.stats.write_admits for c in ds.contexts)
 
 
 def test_trace_metrics_and_stats_agree_on_a_split_forest(quest):
