@@ -5,19 +5,22 @@ in an LRU cache drawn from its own memory budget, so the SSE member pass
 and the partition pass of a node whose columns fit the pool re-read from
 memory instead of disk; ``"lru+prefetch"`` additionally issues the read
 of chunk i+1 while chunk i computes, hiding transfer time the consumer
-would otherwise wait for. This bench measures simulated elapsed time,
-bytes read, disk accesses (``io_calls``: every charged read, write and
-prefetch, each paying one seek) and pool counters for the three modes
-over p ∈ {2, 4, 8} at a streaming-heavy memory ratio, verifies the trees
-are bit-identical, and writes ``BENCH_bufferpool.json``.
+would otherwise wait for. The children of in-core nodes stay dirty in
+the pool and are written only if they leave it. This bench measures
+simulated elapsed time, bytes read and written, disk accesses
+(``io_calls``: every charged read, write and prefetch, each paying one
+seek) and pool counters for the three modes over p ∈ {2, 4, 8} at a
+streaming-heavy memory ratio, verifies the trees are bit-identical, and
+writes ``BENCH_bufferpool.json``.
 
 Run standalone (CI smoke uses ``--quick``)::
 
     PYTHONPATH=src python benchmarks/bench_bufferpool.py [--quick]
 
 Exits non-zero if any tree differs across modes, if the cache does not
-strictly reduce bytes read, if prefetch slows the fit down, or if any
-rank's pool overruns its memory budget.
+strictly reduce bytes read, if a pool mode writes more bytes than
+``off``, if prefetch slows the fit down, or if any rank's pool overruns
+its memory budget.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ def run_point(n_records: int, p: int, mode: str, scale: float) -> dict:
     out = {
         "elapsed": res.elapsed,
         "bytes_read": int(sum(c.stats.bytes_read for c in ctxs)),
+        "bytes_written": int(sum(c.stats.bytes_written for c in ctxs)),
         "io_calls": int(sum(c.stats.io_calls for c in ctxs)),
         "overlap_saved": float(
             sum(c.stats.io_overlap_saved for c in ctxs)
@@ -89,6 +93,10 @@ def run_point(n_records: int, p: int, mode: str, scale: float) -> dict:
             write_admits=int(sum(p_.stats.write_admits for p_ in pools)),
             write_admit_bytes=int(
                 sum(p_.stats.write_admit_bytes for p_ in pools)
+            ),
+            write_backs=int(sum(p_.stats.write_backs for p_ in pools)),
+            write_back_bytes=int(
+                sum(p_.stats.write_back_bytes for p_ in pools)
             ),
             budget_ok=all(
                 c.pool_budget.high_water <= c.pool_budget.limit
@@ -145,6 +153,13 @@ def main(argv: list[str] | None = None) -> int:
                     f"({results['lru']['bytes_read']} >= "
                     f"{results['off']['bytes_read']})"
                 )
+            for m in ("lru", "lru+prefetch"):
+                if results[m]["bytes_written"] > results["off"]["bytes_written"]:
+                    failures.append(
+                        f"{where}: mode {m} wrote more bytes than off "
+                        f"({results[m]['bytes_written']} > "
+                        f"{results['off']['bytes_written']})"
+                    )
             if (
                 results["lru+prefetch"]["elapsed"]
                 > results["lru"]["elapsed"]
@@ -166,8 +181,10 @@ def main(argv: list[str] | None = None) -> int:
             pt["dataset"],
             str(pt["n_ranks"]),
             f"{pt['off']['bytes_read'] / 2**20:.1f}",
+            f"{pt['off']['bytes_written'] / 2**20:.1f}",
             str(pt["off"]["io_calls"]),
             f"{pt['lru']['bytes_read'] / 2**20:.1f}",
+            f"{pt['lru']['bytes_written'] / 2**20:.1f}",
             str(pt["lru"]["io_calls"]),
             f"{pt['read_reduction']:.2f}x",
             f"{pt['off']['elapsed']:.2f}",
@@ -181,8 +198,9 @@ def main(argv: list[str] | None = None) -> int:
     print(
         format_table(
             [
-                "data", "p", "MiB read off", "accesses off",
-                "MiB read lru", "accesses lru", "reduction",
+                "data", "p", "MiB read off", "MiB written off",
+                "accesses off", "MiB read lru", "MiB written lru",
+                "accesses lru", "reduction",
                 "t off", "t lru+pf", "gain", "overlap s", "same tree",
             ],
             rows,

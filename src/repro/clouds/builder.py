@@ -136,8 +136,9 @@ def partition_columnset(
 
     Children are written in whole chunks (:class:`ChunkWriter`), so each
     child file holds ``ceil(rows / chunk_rows)`` chunks at every depth,
-    whatever the chunking of the fragment it came from, and are
-    write-allocated into the rank's buffer pool.
+    whatever the chunking of the fragment it came from. They are
+    write-allocated into the rank's buffer pool and written through: the
+    out-of-core pass pays its write as it goes.
     """
     schema = cs.schema
     left = ChunkWriter(

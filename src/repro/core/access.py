@@ -7,8 +7,10 @@ and the partitioning pass — so the driver is oblivious to residency. The
 I/O difference is what the memory limit buys:
 
 * in-core: one sequential read of the fragment, then no further reads;
+  its children stay in the buffer pool, written back to disk only if
+  they leave it before the next level deletes them;
 * streaming: the statistics pass, the SSE member pass and the partition
-  pass each re-read from disk.
+  pass each re-read from disk, and the children are written through.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ class NodeAccess:
         self, split: Split
     ) -> tuple[ColumnSet, ColumnSet, np.ndarray]:
         """Write both children to the local disk; returns
-        (left, right, local left class counts)."""
+        (left, right, local left class counts). A streaming node's
+        children are written through; an in-core node's are written back
+        (:class:`~repro.ooc.columnset.ChunkWriter`)."""
         raise NotImplementedError
 
     def release(self) -> None:
@@ -98,7 +102,7 @@ class InCoreAccess(NodeAccess):
             {k: v[mask] for k, v in self.columns.items()},
             self.labels[mask],
             name=f"{self.cs.name}/L",
-            write_allocate=True,
+            write_back=True,
         )
         right = ColumnSet.from_arrays(
             self.ctx.disk,
@@ -106,7 +110,7 @@ class InCoreAccess(NodeAccess):
             {k: v[~mask] for k, v in self.columns.items()},
             self.labels[~mask],
             name=f"{self.cs.name}/R",
-            write_allocate=True,
+            write_back=True,
         )
         return left, right, class_counts(self.labels[mask], self.schema.n_classes)
 

@@ -132,7 +132,8 @@ def run_observed(
     ``health``). With ``recover`` an attempt that dies with
     :class:`~repro.cluster.errors.SpmdProgramError` restarts from the
     latest checkpoint, up to ``max_restarts`` times; without it the
-    error propagates. The recorders are finalized and
+    error propagates. Either way the dead attempt's dirty buffer-pool
+    chunks are dropped unwritten. The recorders are finalized and
     ``repro_run_elapsed_seconds`` set, dead attempts included.
     """
     contexts = dataset.contexts
@@ -181,6 +182,10 @@ def run_observed(
             # time already burned by the dead attempt counts
             failed_time += max(c.clock.now for c in contexts)
             restarts += 1
+            # the children the dead attempt kept dirty died with its RAM
+            for c in contexts:
+                if c.disk.pool is not None:
+                    c.disk.pool.drop_dirty()
             if not recover or restarts > max_restarts:
                 raise
     for rec in recorders:

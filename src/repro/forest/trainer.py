@@ -578,6 +578,8 @@ _POOL_KEYS = (
     "cross_tree_hit_bytes",
     "write_admits",
     "write_admit_bytes",
+    "write_backs",
+    "write_back_bytes",
 )
 
 

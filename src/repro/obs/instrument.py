@@ -127,6 +127,12 @@ def _register_metrics(registry: MetricsRegistry) -> None:
             ("rank",),
         ),
         Counter(
+            "repro_ooc_cache_writebacks_total",
+            "Dirty buffer-pool chunks whose deferred write an eviction or "
+            "an overwrite charged",
+            ("rank",),
+        ),
+        Counter(
             "repro_ooc_prefetch_total",
             "Overlapped prefetches by outcome (issued|useful|wasted)",
             ("rank", "outcome"),
@@ -514,6 +520,10 @@ class MetricsRecorder:
             self.shard.inc(
                 "repro_ooc_cache_write_admits_total", (rank,),
                 float(ps.write_admits),
+            )
+            self.shard.inc(
+                "repro_ooc_cache_writebacks_total", (rank,),
+                float(ps.write_backs),
             )
             for outcome, v in (
                 ("issued", ps.prefetch_issued),

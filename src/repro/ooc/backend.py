@@ -64,10 +64,10 @@ class StorageBackend(ABC):
 
 
 class InMemoryBackend(StorageBackend):
-    """Holds chunk payloads in RAM; copies on put and serves read-only
-    views on get, so callers can neither corrupt 'disk' contents nor pay
-    a gratuitous copy on the hot read path (the buffer pool caches the
-    same immutable view it admits)."""
+    """Holds chunk payloads in RAM; copies on put into an immutable
+    buffer and serves that same read-only array on every get, so callers
+    can neither corrupt 'disk' contents nor pay a gratuitous copy or view
+    on the hot read path (the buffer pool caches the array it admits)."""
 
     def __init__(self) -> None:
         self._chunks: dict[int, np.ndarray] = {}
@@ -76,13 +76,11 @@ class InMemoryBackend(StorageBackend):
     def put(self, arr: np.ndarray) -> object:
         handle = self._next
         self._next += 1
-        self._chunks[handle] = np.array(arr, copy=True)
+        self._chunks[handle] = _frozen_copy(arr)
         return handle
 
     def get(self, handle: object) -> np.ndarray:
-        view = self._chunks[handle][...]
-        view.flags.writeable = False
-        return view
+        return self._chunks[handle]
 
     def delete(self, handle: object) -> None:
         self._chunks.pop(handle, None)
@@ -90,7 +88,7 @@ class InMemoryBackend(StorageBackend):
     def overwrite(self, handle: object, arr: np.ndarray) -> None:
         if handle not in self._chunks:
             raise KeyError(f"no chunk under handle {handle!r}")
-        self._chunks[handle] = np.array(arr, copy=True)
+        self._chunks[handle] = _frozen_copy(arr)
 
     def close(self) -> None:
         self._chunks.clear()
@@ -98,6 +96,15 @@ class InMemoryBackend(StorageBackend):
     def resident_bytes(self) -> int:
         """Total payload currently stored (test/diagnostic hook)."""
         return sum(a.nbytes for a in self._chunks.values())
+
+
+def _frozen_copy(arr: np.ndarray) -> np.ndarray:
+    """A private copy of ``arr`` over an immutable ``bytes`` buffer: no
+    holder can make it writeable again, so every ``get`` can hand out
+    the same object."""
+    arr = np.asarray(arr)
+    out = np.frombuffer(arr.tobytes(), arr.dtype)
+    return out if arr.ndim == 1 else out.reshape(arr.shape)
 
 
 class FileBackend(StorageBackend):

@@ -15,13 +15,25 @@ machine:
   write* (write-allocate): every chunk of a partition child is admitted
   as it is stored, so the next level reads the child it is about to
   process from memory instead of re-reading what the level above just
-  wrote. The write is still charged to the disk (write-through), so
-  spool files, checkpoints and recovery do not change. A child is
-  write-allocated only when the pool can hold one whole row batch of it
-  (:func:`~repro.ooc.columnset.default_batch_rows` rows); a pool smaller
-  than one disk block, whose chunks are a block, admits no child. A
-  cache hit serves the payload for a small memory-copy charge instead of
-  a seek + transfer.
+  wrote. A child is write-allocated only when the pool can hold one
+  whole row batch of it (:func:`~repro.ooc.columnset.default_batch_rows`
+  rows); a pool smaller than one disk block, whose chunks are a block,
+  admits no child. A cache hit serves the payload for a small
+  memory-copy charge instead of a seek + transfer.
+* **Write-back of in-core children** — the children of a streaming
+  (out-of-core) node are written through: their disk write is charged
+  as they are stored, as the paper's out-of-core partition pass pays
+  it. The children of an in-core node are admitted *dirty* instead: the
+  disk write is owed, and charged only if the chunk leaves the pool some
+  other way than being deleted — evicted, or rewritten under the pool by
+  ``overwrite``. A child the next level reads and then deletes while it
+  is still resident is never written, as the small-node phase already
+  charges no child write for an in-core node. A chunk the pool cannot
+  admit is written through at once. The backend still stores every
+  chunk on the host, so CRCs, spool files and checkpoints are as
+  before; a restart drops the dead attempt's dirty chunks unwritten
+  (:meth:`BufferPool.drop_dirty`), since it reads only checkpoint or
+  set-up fragments, which are never dirty.
 * **Overlapped prefetch** — during a streaming scan the read of chunk
   *i+1* is issued while chunk *i* computes. The disk tracks an
   I/O-completion horizon (:attr:`~repro.ooc.disk.LocalDisk.io_front`);
@@ -41,8 +53,8 @@ it happens in the innermost backend wrapper
 (:class:`~repro.ooc.disk._InvalidatingBackend`), below any fault
 injector. ``overwrite``/``delete`` on the backing store invalidate the
 cached entry through that same wrapper, so a fault-injected bit flip,
-even one written right after the put, is still caught by the CRC on the
-next (uncached) read.
+even one written right after the put of a dirty chunk, is still caught
+by the CRC on the next (uncached) read.
 
 Determinism: the pool only changes *when* time is charged and which
 array object a reader receives — never payload values, RNG draws, or
@@ -100,6 +112,10 @@ class PoolStats:
     #: partition-child chunks admitted as they were written
     write_admits: int = 0
     write_admit_bytes: int = 0
+    #: dirty chunks whose deferred disk write an eviction or an
+    #: overwrite charged
+    write_backs: int = 0
+    write_back_bytes: int = 0
 
     def lookups(self) -> int:
         return self.hits + self.misses
@@ -126,6 +142,7 @@ class _Entry:
     completion: float = 0.0  # absolute clock time the transfer finishes
     rated_dt: float = 0.0  # full transfer duration in clock-domain seconds
     tree: int | None = None  # forest tree that admitted/issued the chunk
+    dirty: bool = False  # write-back chunk whose disk write is still owed
 
 
 @dataclass
@@ -137,7 +154,9 @@ class BufferPool:
     :meth:`LocalDisk.attach_pool`). Admission, eviction and prefetch all
     acquire/release bytes on ``budget``, so ``budget.high_water`` bounds
     the cache's true footprint. Pinned handles (the hot node the driver
-    is re-reading) are never evicted.
+    is re-reading) are never evicted. Evicting a dirty chunk charges its
+    deferred disk write to the owning rank's clock; eviction order is
+    plain LRU, clean or dirty.
     """
 
     budget: MemoryBudget
@@ -154,8 +173,10 @@ class BufferPool:
     _inflight: "dict[object, _Entry]" = field(default_factory=dict)
     _pinned: set = field(default_factory=set)
     #: set while a partition child's chunks are stored (write-allocate,
-    #: :meth:`admitting_writes`)
+    #: :meth:`admitting_writes`); ``write_back`` when they are admitted
+    #: dirty, their disk write deferred
     admit_writes: bool = field(default=False, init=False)
+    write_back: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         if self.budget.limit is None:
@@ -262,9 +283,8 @@ class BufferPool:
             return
         if handle in self._entries:  # already resident or in flight
             return
-        if not self._make_room(nbytes):
+        if not self._reserve(nbytes):
             return
-        self.budget.acquire(nbytes)
         completion, rated_dt = self.disk.issue_prefetch_io(nbytes)
         self._entries[handle] = self._inflight[handle] = _Entry(
             nbytes=int(nbytes), completion=completion, rated_dt=rated_dt,
@@ -285,37 +305,58 @@ class BufferPool:
 
     # -- the write path ------------------------------------------------------
     @contextmanager
-    def admitting_writes(self) -> Iterator[None]:
+    def admitting_writes(self, write_back: bool = False) -> Iterator[None]:
         """Write-allocate every chunk stored inside the block: the disk's
         innermost backend wrapper hands each stored payload to
-        :meth:`admit_write`."""
+        :meth:`admit_write`. With ``write_back`` the chunks are admitted
+        dirty and the pool owns their disk write
+        (:meth:`~repro.ooc.disk.LocalDisk.write_chunk` does not charge
+        it)."""
         self.admit_writes = True
+        self.write_back = write_back
         try:
             yield
         finally:
-            self.admit_writes = False
+            self.admit_writes = self.write_back = False
 
     def admit_write(self, handle: object, nbytes: int, stored: np.ndarray) -> None:
-        """Admit a chunk as it is written (its disk write is charged
-        separately). ``stored`` is the backend's own payload, so the cache
-        holds no second copy, and an overwrite of the handle invalidates
-        it like any other entry."""
-        if self._admit(handle, nbytes, _read_only(stored)):
+        """Admit a chunk as it is written. ``stored`` is the backend's
+        own payload, so the cache holds no second copy, and an overwrite
+        of the handle invalidates it like any other entry. Write-through,
+        the writer charged the disk write; write-back, the entry is dirty
+        and its write is charged when it leaves the pool other than by
+        deletion, or here, at once, when the pool cannot admit it."""
+        if self._admit(handle, nbytes, _read_only(stored), self.write_back):
             self.stats.write_admits += 1
-            self.stats.write_admit_bytes += int(nbytes)
+            self.stats.write_admit_bytes += nbytes
+        elif self.write_back:
+            self.disk.charge_write(nbytes)
 
     # -- invalidation --------------------------------------------------------
-    def invalidate(self, handle: object) -> None:
-        """Drop a cached/in-flight chunk (its backing store changed)."""
+    def invalidate(self, handle: object, *, flush: bool = False) -> None:
+        """Drop a cached/in-flight chunk (its backing store changed). A
+        dirty chunk's deferred write is charged first when ``flush`` (an
+        overwrite: the chunk reached the disk before the payload under it
+        changed); a deleted one is dropped unwritten."""
         self._pinned.discard(handle)
         entry = self._entries.pop(handle, None)
         if entry is None:
             return
+        if flush and entry.dirty:
+            self._write_back(entry.nbytes)
         self.budget.release(entry.nbytes)
         self.stats.invalidations += 1
         if entry.array is None:
             del self._inflight[handle]
             self.stats.prefetch_wasted += 1
+
+    def drop_dirty(self) -> None:
+        """Forget every dirty chunk without writing it: the attempt whose
+        RAM held it died, and a restart reads only checkpoint-restored or
+        set-up fragments, which are never dirty."""
+        for handle in [h for h, e in self._entries.items() if e.dirty]:
+            self._pinned.discard(handle)
+            self.budget.release(self._entries.pop(handle).nbytes)
 
     def drop_inflight(self) -> None:
         """Forget un-consumed prefetches (their completion times belong
@@ -327,7 +368,8 @@ class BufferPool:
         self._inflight.clear()
 
     def clear(self) -> None:
-        """Drop everything (backend closed or machine torn down)."""
+        """Drop everything, dirty chunks unwritten (backend closed or
+        machine torn down)."""
         for entry in self._entries.values():
             self.budget.release(entry.nbytes)
             if entry.array is None:
@@ -337,28 +379,32 @@ class BufferPool:
         self._pinned.clear()
 
     # -- internals -----------------------------------------------------------
-    def _admit(self, handle: object, nbytes: int, arr: np.ndarray) -> bool:
-        if not self._make_room(nbytes):
+    def _admit(
+        self, handle: object, nbytes: int, arr: np.ndarray, dirty: bool = False
+    ) -> bool:
+        if not self._reserve(nbytes):
             self.stats.bypasses += 1
             return False
-        self.budget.acquire(nbytes)
         self._entries[handle] = _Entry(
-            nbytes=int(nbytes), array=arr, tree=self.current_tree
+            int(nbytes), arr, 0.0, 0.0, self.current_tree, dirty
         )
         return True
 
-    def _make_room(self, nbytes: int) -> bool:
-        if nbytes > self.capacity:
-            return False
-        while not self.budget.fits(nbytes):
-            if not self._evict_one():
+    def _reserve(self, nbytes: int) -> bool:
+        """Take ``nbytes`` of the budget, evicting LRU entries until they
+        fit; False when they cannot (larger than the pool, or nothing
+        left to evict)."""
+        budget = self.budget
+        while not budget.try_acquire(nbytes):
+            if nbytes > budget.limit or not self._evict_one():
                 return False
         return True
 
     def _evict_one(self) -> bool:
-        """Evict the least-recently-used resident, unpinned entry.
-        In-flight prefetches are never evicted (their budget is released
-        on consumption, invalidation or reset)."""
+        """Evict the least-recently-used resident, unpinned entry,
+        charging its deferred write if it is dirty. In-flight prefetches
+        are never evicted (their budget is released on consumption,
+        invalidation or reset)."""
         victim = None
         for handle, entry in self._entries.items():
             if entry.array is not None and handle not in self._pinned:
@@ -369,7 +415,16 @@ class BufferPool:
         entry = self._entries.pop(victim)
         self.budget.release(entry.nbytes)
         self.stats.evictions += 1
+        if entry.dirty:
+            self._write_back(entry.nbytes)
         return True
+
+    def _write_back(self, nbytes: int) -> None:
+        """Charge the deferred disk write of a dirty chunk leaving the
+        pool, on this rank's clock, as any other write."""
+        self.stats.write_backs += 1
+        self.stats.write_back_bytes += nbytes
+        self.disk.charge_write(nbytes)
 
     def _note_cross_tree(self, entry: _Entry, nbytes: int) -> None:
         if (

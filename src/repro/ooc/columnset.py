@@ -62,14 +62,18 @@ class ColumnSet:
         batch_rows: int | None = None,
         *,
         write_allocate: bool = False,
+        write_back: bool = False,
     ) -> "ColumnSet":
         """Write in-memory columns to disk in chunks of ``batch_rows`` rows
         (default :func:`default_batch_rows`), the granularity of later
         scans. Each chunk is written from a view of the inputs.
-        ``write_allocate`` marks a partition child (see
-        :class:`ChunkWriter`)."""
+        ``write_allocate`` marks a partition child, ``write_back`` the
+        child of an in-core node (see :class:`ChunkWriter`)."""
         writer = ChunkWriter(
-            cls(disk, schema, name=name), batch_rows, write_allocate=write_allocate
+            cls(disk, schema, name=name),
+            batch_rows,
+            write_allocate=write_allocate,
+            write_back=write_back,
         )
         writer.write(columns, labels)
         return writer.close()
@@ -176,7 +180,12 @@ class ChunkWriter:
     A partition child is written with ``write_allocate=True``: when the
     rank's buffer pool can hold one whole chunk of rows, every chunk is
     also admitted into the pool as it is stored, so the next level reads
-    it from memory (the write is still charged).
+    it from memory. Its disk write is charged as it is stored
+    (write-through), as the out-of-core partition pass pays it. The child
+    of an in-core node is written with ``write_back=True``: admitted the
+    same way, but dirty, so its disk write is charged only if the chunk
+    leaves the pool other than by deletion, and at once if the pool
+    cannot admit it (see :mod:`repro.ooc.bufferpool`).
     """
 
     def __init__(
@@ -185,17 +194,19 @@ class ChunkWriter:
         chunk_rows: int | None = None,
         *,
         write_allocate: bool = False,
+        write_back: bool = False,
     ) -> None:
         self.cs = cs
         self.chunk_rows = chunk_rows or default_batch_rows(cs.disk, cs.schema)
         pool = cs.disk.pool
         self._pool = (
             pool
-            if write_allocate
+            if (write_allocate or write_back)
             and pool is not None
             and pool.would_cache(self.chunk_rows * cs.schema.row_nbytes())
             else None
         )
+        self._write_back = write_back
         self._held: list[tuple[dict[str, np.ndarray], np.ndarray]] = []
         self._held_rows = 0
 
@@ -232,5 +243,5 @@ class ChunkWriter:
         if self._pool is None:
             self.cs.append_batch(columns, labels)
             return
-        with self._pool.admitting_writes():
+        with self._pool.admitting_writes(self._write_back):
             self.cs.append_batch(columns, labels)

@@ -168,6 +168,17 @@ class LocalDisk:
         return saved
 
     # -- integrity-checked chunk access -------------------------------------
+    def write_chunk(self, arr: np.ndarray) -> tuple[object, int]:
+        """Charge and persist one chunk of a file; returns
+        ``(handle, crc32)``. Inside a write-back block
+        (:meth:`~repro.ooc.bufferpool.BufferPool.admitting_writes`) the
+        pool owns the charge: at once if it cannot admit the chunk,
+        otherwise when the chunk leaves it other than by deletion."""
+        pool = self.pool
+        if pool is None or not pool.write_back:
+            self.charge_write(arr.nbytes)
+        return self.store_chunk(arr)
+
     def store_chunk(self, arr: np.ndarray) -> tuple[object, int]:
         """Persist one chunk; returns ``(handle, crc32)``.
 
@@ -234,10 +245,11 @@ class _InvalidatingBackend(StorageBackend):
     It is also where partition children are write-allocated: while the
     pool is :meth:`~repro.ooc.bufferpool.BufferPool.admitting_writes`, a
     put admits the payload the backend stored. A bit flip the injector
-    writes right after that put goes through :meth:`overwrite` here and
-    invalidates the entry, so the CRC still catches it on the next read;
-    admitting the caller's array after ``store_chunk`` returns would
-    cache the good bytes and hide the flip."""
+    writes right after that put goes through :meth:`overwrite` here,
+    which charges a dirty entry's deferred write and drops the entry, so
+    the CRC still catches the flip on the next read; admitting the
+    caller's array after ``store_chunk`` returns would cache the good
+    bytes and hide the flip. A delete drops the entry unwritten."""
 
     def __init__(self, inner: StorageBackend, pool) -> None:
         self._inner = inner
@@ -257,7 +269,7 @@ class _InvalidatingBackend(StorageBackend):
         self._inner.delete(handle)
 
     def overwrite(self, handle, arr) -> None:
-        self._pool.invalidate(handle)
+        self._pool.invalidate(handle, flush=True)
         self._inner.overwrite(handle, arr)
 
     def close(self) -> None:

@@ -52,15 +52,15 @@ class OocArray:
 
     # -- writing ----------------------------------------------------------------
     def append(self, arr: np.ndarray) -> None:
-        """Append one chunk (charged as one sequential write)."""
+        """Append one chunk (charged as one sequential write, deferred
+        for a write-back child: :meth:`LocalDisk.write_chunk`)."""
         self._check_open()
         arr = np.ascontiguousarray(arr, dtype=self.dtype)
         if arr.ndim != 1:
             raise ValueError(f"OocArray holds 1-D data, got shape {arr.shape}")
         if arr.size == 0:
             return
-        self.disk.charge_write(arr.nbytes)
-        handle, crc = self.disk.store_chunk(arr)
+        handle, crc = self.disk.write_chunk(arr)
         self._handles.append(handle)
         self._lengths.append(arr.size)
         self._crcs.append(crc)

@@ -54,6 +54,18 @@ class MemoryBudget:
         first; pair with :meth:`release`."""
         self._acquire(int(nbytes))
 
+    def try_acquire(self, nbytes: int) -> bool:
+        """Take ``nbytes`` if they fit; returns whether they did (the
+        buffer pool's admission path, one call instead of
+        :meth:`fits` then :meth:`acquire`)."""
+        reserved = self.reserved + nbytes
+        if self.limit is not None and reserved > self.limit:
+            return False
+        self.reserved = reserved
+        if reserved > self.high_water:
+            self.high_water = reserved
+        return True
+
     def release(self, nbytes: int) -> None:
         self._release(int(nbytes))
 

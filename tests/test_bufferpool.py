@@ -9,7 +9,7 @@ cache, and fault-injected corruption is still caught through the cache.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import ExperimentConfig, build_cluster, run_pclouds
@@ -345,6 +345,215 @@ class TestWriteAllocate:
         cs.delete()
         assert not disk.pool._entries and disk.pool.budget.reserved == 0
         assert disk.pool.stats.invalidations == n
+
+    def test_streaming_partition_child_is_written_through(self):
+        """The out-of-core partition pass pays its child writes as it
+        goes: admitted, but clean, and every byte charged."""
+        from repro.clouds.builder import _NullSink, partition_columnset
+        from repro.clouds.splits import NUMERIC_SPLIT, Split
+
+        disk = make_disk(pool_bytes=1 << 20)
+        parent = ColumnSet.from_arrays(
+            disk, quest_schema(), *generate_quest(600, function=2, seed=0)
+        )
+        written = disk.stats.bytes_written
+        left, right, _ = partition_columnset(
+            parent,
+            Split(attribute="salary", kind=NUMERIC_SPLIT, gini=0.0,
+                  threshold=75_000.0),
+            _NullSink(),
+        )
+        handles = [h for cs in (left, right) for f in cs.files() for h in f.chunk_handles]
+        assert disk.stats.bytes_written - written == left.nbytes + right.nbytes
+        assert disk.pool.stats.write_admits == len(handles)
+        assert not any(disk.pool._entries[h].dirty for h in handles)
+
+
+class TestWriteBack:
+    """In-core children are admitted dirty: their disk write is charged
+    only if they leave the pool other than by deletion."""
+
+    def child(self, disk, n=600):
+        cols, labels = generate_quest(n, function=2, seed=0)
+        return ColumnSet.from_arrays(
+            disk, quest_schema(), cols, labels, name="c", write_back=True
+        )
+
+    @staticmethod
+    def handles(cs):
+        return [h for f in cs.files() for h in f.chunk_handles]
+
+    def test_child_is_dirty_and_its_write_is_deferred(self):
+        disk = make_disk(pool_bytes=1 << 20)
+        cs = self.child(disk)
+        pool = disk.pool
+        assert disk.stats.bytes_written == 0
+        assert pool.stats.write_admits == len(self.handles(cs))
+        assert all(pool._entries[h].dirty for h in self.handles(cs))
+        cs.read_all()
+        assert disk.stats.bytes_read == 0
+        cs.delete()  # read, then deleted while resident: never written
+        assert disk.stats.bytes_written == 0 and disk.stats.io_calls == 0
+        assert not pool._entries and pool.budget.reserved == 0
+        assert pool.stats.write_backs == 0
+
+    def test_eviction_charges_the_deferred_write_once(self):
+        disk = make_disk(pool_bytes=64 * 1024)
+        first = self.child(disk, n=600)
+        pool = disk.pool
+        self.child(disk, n=600)  # fills the pool: evicts the LRU chunks
+        evicted = [h for h in self.handles(first) if h not in pool._entries]
+        assert evicted and pool.stats.evictions == len(evicted)
+        nbytes = sum(disk.backend.get(h).nbytes for h in evicted)
+        assert pool.stats.write_backs == len(evicted)
+        assert pool.stats.write_back_bytes == nbytes == disk.stats.bytes_written
+        # an evicted chunk reads back from the disk, clean, and its
+        # deletion charges nothing more
+        first.read_all()
+        first.delete()
+        assert disk.stats.bytes_written == nbytes
+
+    def test_eviction_is_plain_lru_not_clean_first(self):
+        disk = make_disk(pool_bytes=3 * 512 * 8)
+        pool = disk.pool
+        dirty = OocArray(disk, np.float64, name="dirty")
+        with pool.admitting_writes(write_back=True):
+            dirty.append(np.arange(512.0))
+        clean, _ = chunked_array(disk, nchunks=2)
+        list(clean.iter_chunks())  # two clean entries, younger than the dirty one
+        list(chunked_array(disk, nchunks=1, seed=1)[0].iter_chunks())
+        assert dirty.chunk_handles[0] not in pool._entries
+        assert pool.stats.write_backs == 1
+        assert all(h in pool._entries for h in clean.chunk_handles)
+
+    def test_overwrite_charges_then_drops_and_crc_catches_the_flip(self):
+        disk = make_disk(pool_bytes=1 << 20)
+        cs = self.child(disk)
+        f = cs.labels_file
+        handle = f.chunk_handles[0]
+        stored = disk.backend.get(handle)
+        raw = bytearray(stored.tobytes())
+        raw[0] ^= 1
+        disk.backend.overwrite(handle, np.frombuffer(bytes(raw), dtype=stored.dtype))
+        assert handle not in disk.pool._entries
+        assert disk.stats.bytes_written == stored.nbytes
+        assert disk.pool.stats.write_backs == 1
+        with pytest.raises(ChunkCorruptionError):
+            f.read_all()
+        cs.delete()
+        assert disk.stats.bytes_written == stored.nbytes
+
+    def test_chunk_the_pool_cannot_admit_is_written_through_at_once(self):
+        # a pinned child fills the pool: no room, so the write is charged now
+        disk = make_disk(pool_bytes=64 * 1024)
+        pinned = self.child(disk, n=1000)
+        disk.pool.pin_columnset(pinned)
+        assert disk.pool.capacity - disk.pool.budget.reserved < 600 * 8
+        cs = self.child(disk)
+        assert disk.pool.stats.bypasses == len(self.handles(cs))
+        written = cs.nbytes
+        assert disk.stats.bytes_written == written
+        cs.delete()
+        assert disk.stats.bytes_written == written
+        assert disk.pool.stats.write_backs == 0
+        # a pool smaller than one row batch admits nothing: all written now
+        small = make_disk(pool_bytes=16 * 1024)
+        cs = self.child(small)
+        assert small.stats.bytes_written == cs.nbytes
+        assert not small.pool._entries
+
+    def test_clear_and_restart_drop_dirty_chunks_unwritten(self):
+        disk = make_disk(pool_bytes=1 << 20)
+        self.child(disk)
+        clean, _ = chunked_array(disk, nchunks=1)
+        written = disk.stats.bytes_written
+        list(clean.iter_chunks())
+        disk.pool.drop_dirty()
+        assert [e.dirty for e in disk.pool._entries.values()] == [False]
+        assert disk.pool.budget.reserved == clean.nbytes
+        self.child(disk)
+        disk.pool.clear()
+        assert not disk.pool._entries and disk.pool.budget.reserved == 0
+        assert disk.stats.bytes_written == written
+        assert disk.pool.stats.write_backs == 0
+
+
+class TestWriteBackOps:
+    """Random op sequences over a small pool: every write is charged
+    exactly once, when it is written through or when a dirty chunk is
+    flushed, and a dirty chunk deleted while resident never is."""
+
+    OPS = ("back", "through", "read", "prefetch", "overwrite", "delete",
+           "clear", "restart")
+    ROWS = (32, 64, 128, 512)  # 512 rows overflow the pool: written through
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(OPS), st.integers(0, 63), st.integers(0, 3)),
+            max_size=40,
+        )
+    )
+    @example([("back", 0, 0), ("overwrite", 0, 0)])
+    @example([("back", 0, 0), ("delete", 0, 0)])
+    @example([("back", 0, 0), ("restart", 0, 0)])
+    @example([("back", 0, 1)] * 7)  # the seventh evicts the first
+    @example([("back", 0, 3)])  # larger than the pool
+    def test_every_write_is_charged_once(self, ops):
+        disk = make_disk(pool_bytes=6 * 64 * 8, prefetch=True)
+        pool = disk.pool
+        rng = np.random.default_rng(0)
+        live: list[tuple[object, int, int]] = []  # (handle, nbytes, crc)
+        charged: set = set()
+        through = 0
+        for op, i, size in ops:
+            dirty0 = {h for h, e in pool._entries.items() if e.dirty}
+            written0 = disk.stats.bytes_written
+            expect = 0
+            if op in ("back", "through"):
+                data = rng.standard_normal(self.ROWS[size])
+                with pool.admitting_writes(write_back=op == "back"):
+                    handle, crc = disk.write_chunk(data)
+                live.append((handle, data.nbytes, crc))
+                if op == "through" or handle not in pool._entries:
+                    through += data.nbytes
+                    expect += data.nbytes
+                    assert handle not in charged
+                    charged.add(handle)
+            elif live:
+                handle, nbytes, crc = live[i % len(live)]
+                if op == "read":
+                    pool.read(handle, nbytes, crc)
+                elif op == "prefetch":
+                    pool.issue_prefetch(handle, nbytes)
+                elif op == "overwrite":  # same bytes: only the pool reacts
+                    disk.backend.overwrite(handle, disk.backend.get(handle))
+                elif op == "delete":
+                    disk.backend.delete(handle)
+                    live.remove((handle, nbytes, crc))
+                    if handle in dirty0:
+                        assert disk.stats.bytes_written == written0
+                        assert handle not in charged
+                elif op == "clear":
+                    pool.clear()
+                else:
+                    pool.drop_dirty()
+            dirty1 = {h for h, e in pool._entries.items() if e.dirty}
+            gone = dirty0 - dirty1
+            if op in ("delete", "clear", "restart"):
+                flushed = set()  # dropped unwritten
+            else:
+                flushed = gone  # evicted, or overwritten
+            for h in flushed:
+                assert h not in charged  # no chunk is charged twice
+                charged.add(h)
+                expect += dict((h_, n) for h_, n, _ in live)[h]
+            assert disk.stats.bytes_written - written0 == expect
+            assert disk.stats.bytes_written == through + pool.stats.write_back_bytes
+            assert pool.budget.reserved == sum(e.nbytes for e in pool._entries.values())
+            assert pool.budget.reserved <= pool.capacity
+            if op == "restart":
+                assert not dirty1
 
 
 class TestStackedMasks:

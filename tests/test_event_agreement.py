@@ -9,6 +9,7 @@ import pytest
 
 from repro.clouds import CloudsConfig
 from repro.cluster import FaultInjector, standard_plans
+from repro.cluster.diskmodel import DiskModel
 from repro.cluster.trace import attach_tracers
 from repro.core import DistributedDataset, PClouds, PCloudsConfig
 from repro.data import generate_quest, quest_schema
@@ -80,8 +81,10 @@ def assert_views_agree(res, contexts, stats0):
     }
 
     admits = totals(reg, "repro_ooc_cache_write_admits_total", 0)
+    writebacks = totals(reg, "repro_ooc_cache_writebacks_total", 0)
     for ctx in contexts:
         assert admits[(str(ctx.rank),)] == ctx.disk.pool.stats.write_admits
+        assert writebacks[(str(ctx.rank),)] == ctx.disk.pool.stats.write_backs
 
     drift = res.health.drift_ops
     assert drift
@@ -103,6 +106,34 @@ def test_trace_metrics_and_stats_agree_on_a_fit(quest, exchange, method):
     res = PClouds(cfg).fit(ds, seed=2, trace=True, metrics=True)
     assert_views_agree(res, ds.contexts, stats0)
     assert any(c.disk.pool.stats.write_admits for c in ds.contexts)
+
+
+def test_write_backs_of_evicted_children_are_writes_in_every_view(quest):
+    """In-core children that overflow a small pool are evicted dirty; each
+    deferred write is a write in the trace, the metrics and RankStats."""
+    cols, labels = quest
+    ds = dataset(
+        quest,
+        memory_limit=len(labels) * quest_schema().row_nbytes(),
+        buffer_pool="lru+prefetch",
+        pool_bytes=16 * 1024,
+        disk=DiskModel(block=4096),
+    )
+    stats0 = [(c.stats.bytes_sent, c.stats.bytes_received) for c in ds.contexts]
+    written0 = [c.stats.bytes_written for c in ds.contexts]
+    cfg = PCloudsConfig(
+        clouds=CloudsConfig(q_root=60, sample_size=400, min_node=8), q_switch=8
+    )
+    res = PClouds(cfg).fit(ds, seed=2, trace=True, metrics=True)
+    assert_views_agree(res, ds.contexts, stats0)
+    assert all(c.disk.pool.stats.write_backs for c in ds.contexts)
+    metered = totals(res.metrics, "repro_disk_bytes_total", 0, 1)
+    for tracer, ctx, w0 in zip(res.tracers, ds.contexts, written0):
+        traced = sum(e.nbytes for e in tracer.disk_events() if e.op == "write")
+        assert traced == metered[(str(ctx.rank), "write")]
+        assert traced == ctx.stats.bytes_written - w0
+        assert traced >= ctx.disk.pool.stats.write_back_bytes > 0
+        assert ctx.pool_budget.high_water <= ctx.pool_budget.limit
 
 
 def test_trace_metrics_and_stats_agree_on_a_split_forest(quest):
