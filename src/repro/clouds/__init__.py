@@ -31,7 +31,14 @@ from .metrics import (
     evaluate_tree,
     train_test_split,
 )
-from .nodestats import NodeStats, NumericStats, accumulate_batch, empty_stats, stats_from_arrays
+from .nodestats import (
+    FoldedStats,
+    NodeStats,
+    NumericStats,
+    accumulate_batch,
+    empty_stats,
+    stats_from_arrays,
+)
 from .splits import CATEGORICAL_SPLIT, NUMERIC_SPLIT, Split, better
 from .sliq import SliqBuilder
 from .sprint import AttributeList, SprintBuilder
@@ -56,6 +63,7 @@ __all__ = [
     "CloudsConfig",
     "DecisionForest",
     "DecisionTree",
+    "FoldedStats",
     "MdlPruneConfig",
     "NUMERIC_SPLIT",
     "NodeStats",

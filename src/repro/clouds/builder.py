@@ -24,7 +24,7 @@ from repro.ooc.columnset import ChunkWriter, ColumnSet
 from .direct import StoppingRule, build_subtree_direct, _subtree_size
 from .gini import gini_from_counts
 from .intervals import boundaries_from_sample, class_counts, scale_q
-from .nodestats import NodeStats, accumulate_batch, empty_stats
+from .nodestats import FoldedStats, NodeStats, accumulate_batch, empty_stats
 from .splits import Split
 from .ss import find_split_ss
 from .sse import (
@@ -127,12 +127,20 @@ def draw_sample(
 
 
 def partition_columnset(
-    cs: ColumnSet, split: Split, sink: CostSink
+    cs: ColumnSet,
+    split: Split,
+    sink: CostSink,
+    fold: tuple[FoldedStats, FoldedStats] | None = None,
 ) -> tuple[ColumnSet, ColumnSet, np.ndarray]:
     """Stream a fragment once, writing both children (read + write of
     every attribute, as the paper's cost analysis states) and tallying
     the left child's class counts on the way — partitioning updates the
     frequencies so no extra counting pass is needed.
+
+    With ``fold`` (a ``(left, right)`` pair) the pass also folds each
+    child's rows into its :class:`FoldedStats` before writing them, so
+    neither child needs a statistics pass of its own; the fold charges
+    the compute of that pass, and no I/O.
 
     Children are written in whole chunks (:class:`ChunkWriter`), so each
     child file holds ``ceil(rows / chunk_rows)`` chunks at every depth,
@@ -150,9 +158,13 @@ def partition_columnset(
     left_counts = np.zeros(schema.n_classes, dtype=np.int64)
     for batch, labels in cs.iter_batches():
         mask = split.goes_left(batch[split.attribute])
-        sink.charge_compute(ops=len(labels) * len(schema))
-        left.write({k: v[mask] for k, v in batch.items()}, labels[mask])
-        right.write({k: v[~mask] for k, v in batch.items()}, labels[~mask])
+        ops = len(labels) * len(schema)
+        sink.charge_compute(ops=2 * ops if fold else ops)
+        for writer, side, m in ((left, 0, mask), (right, 1, ~mask)):
+            cols, labs = {k: v[m] for k, v in batch.items()}, labels[m]
+            if fold:
+                fold[side].fold(cols, labs)
+            writer.write(cols, labs)
         left_counts += class_counts(labels[mask], schema.n_classes)
     return left.close(), right.close(), left_counts
 

@@ -6,11 +6,18 @@ per interval boundary for every numeric attribute (O(q·c·f) storage) plus
 a count matrix per categorical attribute. Local statistics from data
 chunks (or from different processors) combine by elementwise addition,
 which is what makes the parallel exchange a global-combine.
+
+A :class:`FoldedStats` is a child's statistics tallied by its parent's
+streaming partition pass before the child's interval count is known, over
+a grid fine enough for any count; :meth:`FoldedStats.reduce` turns it into
+the child's :class:`NodeStats` once the count is known, so the child skips
+its own statistics pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,24 +131,22 @@ def accumulate_batch(
     columns: dict[str, np.ndarray],
     labels: np.ndarray,
 ) -> None:
-    """Fold one aligned batch of records into ``stats`` (the single data
-    pass of the SS method / the statistics pass of SSE)."""
+    """Fold one aligned batch of records into ``stats`` in place (the
+    single data pass of the SS method / the statistics pass of SSE)."""
     c = schema.n_classes
-    stats.total = stats.total + class_counts(labels, c)
+    labels = np.asarray(labels, dtype=np.int64)
+    stats.total += class_counts(labels, c)
     for a in schema.numeric:
         ns = stats.numeric[a.name]
         values = np.asarray(columns[a.name], dtype=np.float64)
         idx = interval_index(values, ns.boundaries)
-        flat = np.bincount(
-            idx.astype(np.int64) * c + np.asarray(labels, dtype=np.int64),
-            minlength=ns.n_intervals * c,
-        )
-        ns.hist = ns.hist + flat.reshape(ns.n_intervals, c).astype(np.int64)
+        flat = np.bincount(idx * c + labels, minlength=ns.n_intervals * c)
+        ns.hist += flat.reshape(ns.n_intervals, c)
         np.minimum.at(ns.vmin, idx, values)
         np.maximum.at(ns.vmax, idx, values)
     for a in schema.categorical:
-        stats.categorical[a.name] = stats.categorical[a.name] + (
-            categorical_count_matrix(columns[a.name], labels, a.cardinality, c)
+        stats.categorical[a.name] += categorical_count_matrix(
+            columns[a.name], labels, a.cardinality, c
         )
 
 
@@ -155,3 +160,70 @@ def stats_from_arrays(
     stats = empty_stats(schema, boundaries)
     accumulate_batch(stats, schema, columns, labels)
     return stats
+
+
+class FoldedStats:
+    """One child's local statistics, folded by its parent's streaming
+    partition pass as the pass writes the child's rows.
+
+    The child's interval count q is not known while its parent partitions
+    (it needs the child's global size), so every numeric attribute is
+    tallied over a *grid*: the distinct values of the child's sample.
+    :func:`~repro.clouds.intervals.boundaries_from_sample` picks order
+    statistics of that same sample, so for any q the child's boundaries
+    are grid values, each of its intervals is a run of consecutive grid
+    intervals, and :meth:`reduce` is exact: it equals
+    :func:`stats_from_arrays` over the folded rows bit for bit. Class
+    totals and categorical matrices are tallied directly.
+
+    Size: (distinct sample values + 1) × (c + 2) words per numeric
+    attribute, so the children of one level together hold at most about
+    sample size × numeric attributes × (c + 2) words per rank.
+    """
+
+    def __init__(self, schema: Schema, sample_cols: dict[str, np.ndarray]) -> None:
+        self.schema = schema
+        self.sample_cols = sample_cols
+
+    @cached_property
+    def grid(self) -> NodeStats:
+        """Statistics over the grid, zeroed when first used (the first
+        fold builds it inside the partition pass)."""
+        return empty_stats(
+            self.schema,
+            {
+                a.name: np.unique(np.asarray(self.sample_cols[a.name], dtype=np.float64))
+                for a in self.schema.numeric
+            },
+        )
+
+    def fold(self, columns: dict[str, np.ndarray], labels: np.ndarray) -> None:
+        """Add one aligned batch of the child's rows."""
+        accumulate_batch(self.grid, self.schema, columns, labels)
+
+    def reduce(self, boundaries: dict[str, np.ndarray]) -> NodeStats:
+        """The child's statistics over ``boundaries``, which must come
+        from its sample (:func:`~repro.clouds.builder.node_boundaries`):
+        each interval sums the hist of its grid intervals and takes the
+        min of their ``vmin`` and the max of their ``vmax``."""
+        grid = self.grid
+        stats = NodeStats(
+            total=grid.total.copy(),
+            categorical={k: m.copy() for k, m in grid.categorical.items()},
+        )
+        for name, g in grid.numeric.items():
+            b = np.asarray(boundaries[name], dtype=np.float64)
+            at = np.searchsorted(g.boundaries, b)
+            if len(b) and (
+                at[-1] >= len(g.boundaries) or not np.array_equal(g.boundaries[at], b)
+            ):
+                raise ValueError(f"boundaries of {name!r} are not sample values")
+            # interval i starts at the grid interval right after boundary i-1
+            starts = np.concatenate(([0], at + 1))
+            stats.numeric[name] = NumericStats(
+                boundaries=b,
+                hist=np.add.reduceat(g.hist, starts, axis=0),
+                vmin=np.minimum.reduceat(g.vmin, starts),
+                vmax=np.maximum.reduceat(g.vmax, starts),
+            )
+        return stats

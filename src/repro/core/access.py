@@ -9,8 +9,13 @@ I/O difference is what the memory limit buys:
 * in-core: one sequential read of the fragment, then no further reads;
   its children stay in the buffer pool, written back to disk only if
   they leave it before the next level deletes them;
-* streaming: the statistics pass, the SSE member pass and the partition
-  pass each re-read from disk, and the children are written through.
+* streaming: the SSE member pass and the partition pass each re-read
+  from disk, and the children are written through. The partition pass
+  also folds both children's statistics
+  (:class:`~repro.clouds.nodestats.FoldedStats`), so a node whose parent
+  streamed makes no statistics pass: its ``stats_pass`` reduces what the
+  parent folded. Only the root, a checkpoint-restored frontier and the
+  children of in-core nodes scan their fragment for statistics.
 """
 
 from __future__ import annotations
@@ -20,7 +25,12 @@ import numpy as np
 from repro.cluster.machine import RankContext
 from repro.clouds.builder import partition_columnset
 from repro.clouds.intervals import class_counts
-from repro.clouds.nodestats import NodeStats, accumulate_batch, empty_stats
+from repro.clouds.nodestats import (
+    FoldedStats,
+    NodeStats,
+    accumulate_batch,
+    empty_stats,
+)
 from repro.clouds.splits import Split
 from repro.clouds.sse import AliveInterval, member_mask, stacked_member_masks
 from repro.data.schema import Schema
@@ -30,18 +40,33 @@ __all__ = ["NodeAccess", "InCoreAccess", "StreamingAccess", "open_node"]
 
 
 class NodeAccess:
-    """Common interface over one rank's local fragment of one node."""
+    """Common interface over one rank's local fragment of one node.
 
-    def __init__(self, ctx: RankContext, cs: ColumnSet, schema: Schema) -> None:
+    ``folded`` holds the node's statistics when its parent's partition
+    pass folded them; :meth:`stats_pass` then reduces them instead of
+    reading the fragment."""
+
+    #: whether :meth:`partition` folds the children's statistics
+    folds: bool = False
+
+    def __init__(
+        self,
+        ctx: RankContext,
+        cs: ColumnSet,
+        schema: Schema,
+        folded: FoldedStats | None = None,
+    ) -> None:
         self.ctx = ctx
         self.cs = cs
         self.schema = schema
+        self.folded = folded
 
     @property
     def local_rows(self) -> int:
         return self.cs.nrows
 
     def stats_pass(self, boundaries: dict[str, np.ndarray]) -> NodeStats:
+        """Local statistics over ``boundaries``."""
         raise NotImplementedError
 
     def alive_members(
@@ -51,12 +76,14 @@ class NodeAccess:
         raise NotImplementedError
 
     def partition(
-        self, split: Split
+        self, split: Split, fold: tuple[FoldedStats, FoldedStats] | None = None
     ) -> tuple[ColumnSet, ColumnSet, np.ndarray]:
         """Write both children to the local disk; returns
         (left, right, local left class counts). A streaming node's
         children are written through; an in-core node's are written back
-        (:class:`~repro.ooc.columnset.ChunkWriter`)."""
+        (:class:`~repro.ooc.columnset.ChunkWriter`). When the access
+        :attr:`folds`, the ``(left, right)`` pair ``fold`` receives the
+        children's statistics; an in-core partition leaves it alone."""
         raise NotImplementedError
 
     def release(self) -> None:
@@ -73,13 +100,21 @@ class InCoreAccess(NodeAccess):
     """Fragment fits the memory budget: one read, then memory-resident
     (its bytes reserved on ``ctx.memory`` until :meth:`release`)."""
 
-    def __init__(self, ctx: RankContext, cs: ColumnSet, schema: Schema) -> None:
-        super().__init__(ctx, cs, schema)
+    def __init__(
+        self,
+        ctx: RankContext,
+        cs: ColumnSet,
+        schema: Schema,
+        folded: FoldedStats | None = None,
+    ) -> None:
+        super().__init__(ctx, cs, schema, folded)
         self.columns, self.labels = cs.read_all()
         self._held = cs.nbytes
         ctx.memory.acquire(self._held)
 
     def stats_pass(self, boundaries: dict[str, np.ndarray]) -> NodeStats:
+        if self.folded is not None:
+            return self.folded.reduce(boundaries)
         stats = empty_stats(self.schema, boundaries)
         accumulate_batch(stats, self.schema, self.columns, self.labels)
         self.ctx.charge_compute(ops=len(self.labels) * len(self.schema))
@@ -93,7 +128,7 @@ class InCoreAccess(NodeAccess):
             out.append((self.columns[iv.attribute][mask], self.labels[mask]))
         return out
 
-    def partition(self, split):
+    def partition(self, split, fold=None):
         mask = split.goes_left(self.columns[split.attribute])
         self.ctx.charge_compute(ops=len(self.labels) * len(self.schema))
         left = ColumnSet.from_arrays(
@@ -124,13 +159,25 @@ class InCoreAccess(NodeAccess):
 class StreamingAccess(NodeAccess):
     """Fragment exceeds the memory budget: every pass streams from disk.
 
+    The partition pass folds both children's statistics, so the node's
+    first read is its stats pass only when its parent did not stream
+    (the root, a restored frontier, the child of an in-core node);
+    otherwise it is the SSE member pass, or for SS the partition pass.
     When the rank has a buffer pool large enough for the fragment, the
-    node's chunks are pinned for the duration of the access: the stats
-    pass populates the cache and the member/partition passes re-read
-    from memory instead of disk (released with the access)."""
+    node's chunks are pinned for the duration of the access: the first
+    pass populates the cache and the later passes re-read from memory
+    instead of disk (released with the access)."""
 
-    def __init__(self, ctx: RankContext, cs: ColumnSet, schema: Schema) -> None:
-        super().__init__(ctx, cs, schema)
+    folds = True
+
+    def __init__(
+        self,
+        ctx: RankContext,
+        cs: ColumnSet,
+        schema: Schema,
+        folded: FoldedStats | None = None,
+    ) -> None:
+        super().__init__(ctx, cs, schema, folded)
         self._pinned = False
         pool = ctx.disk.pool
         if pool is not None and pool.would_cache(cs.nbytes):
@@ -138,6 +185,8 @@ class StreamingAccess(NodeAccess):
             self._pinned = True
 
     def stats_pass(self, boundaries: dict[str, np.ndarray]) -> NodeStats:
+        if self.folded is not None:
+            return self.folded.reduce(boundaries)
         stats = empty_stats(self.schema, boundaries)
         for batch, labels in self.cs.iter_batches():
             accumulate_batch(stats, self.schema, batch, labels)
@@ -167,8 +216,8 @@ class StreamingAccess(NodeAccess):
                 )
         return out
 
-    def partition(self, split):
-        return partition_columnset(self.cs, split, self.ctx)
+    def partition(self, split, fold=None):
+        return partition_columnset(self.cs, split, self.ctx, fold)
 
     def release(self) -> None:
         if self._pinned:
@@ -176,11 +225,17 @@ class StreamingAccess(NodeAccess):
             self._pinned = False
 
 
-def open_node(ctx: RankContext, cs: ColumnSet, schema: Schema) -> NodeAccess:
+def open_node(
+    ctx: RankContext,
+    cs: ColumnSet,
+    schema: Schema,
+    folded: FoldedStats | None = None,
+) -> NodeAccess:
     """Pick the access mode by the per-processor memory limit (Section 6:
     "large nodes are processed out-of-core if the size of those nodes
     exceed a pre-specified memory limit"), counting the in-core
-    fragments still open on this rank."""
+    fragments still open on this rank. ``folded`` is the node's
+    statistics from its parent's streaming partition pass, if any."""
     if ctx.memory.fits(cs.nbytes):
-        return InCoreAccess(ctx, cs, schema)
-    return StreamingAccess(ctx, cs, schema)
+        return InCoreAccess(ctx, cs, schema, folded)
+    return StreamingAccess(ctx, cs, schema, folded)

@@ -36,6 +36,7 @@ from repro.ooc.backend import ChunkCorruptionError
 @dataclass
 class _Entry:
     label: str
+    disk: object
     handle: object
     nbytes: int
     crc: int
@@ -65,8 +66,12 @@ class CheckpointStore:
         arr = np.frombuffer(blob, dtype=np.uint8)
         disk.charge_write(arr.nbytes)
         handle, crc = disk.store_chunk(arr)
-        self._entries.append(_Entry(label, handle, arr.nbytes, crc))
+        self._entries.append(_Entry(label, disk, handle, arr.nbytes, crc))
         return arr.nbytes
+
+    def handles(self, disk) -> set:
+        """Handles of the checkpoint blobs stored on ``disk``."""
+        return {e.handle for e in self._entries if e.disk is disk}
 
     def load_latest(self, disk) -> tuple[str, object] | None:
         """Read back the newest checkpoint that passes its CRC.
@@ -133,8 +138,10 @@ def run_observed(
     :class:`~repro.cluster.errors.SpmdProgramError` restarts from the
     latest checkpoint, up to ``max_restarts`` times; without it the
     error propagates. Either way the dead attempt's dirty buffer-pool
-    chunks are dropped unwritten. The recorders are finalized and
-    ``repro_run_elapsed_seconds`` set, dead attempts included.
+    chunks are dropped unwritten, and every chunk it stored is deleted
+    except checkpoint blobs (:func:`_discard_attempt`). The recorders are
+    finalized and ``repro_run_elapsed_seconds`` set, dead attempts
+    included.
     """
     contexts = dataset.contexts
     tracers = injector = registry = monitor = None
@@ -168,6 +175,7 @@ def run_observed(
             injector.begin_attempt()
         for c in contexts:
             c.notify("begin_attempt", restarts)
+        stored_before = [set(c.disk.backend.handles()) for c in contexts]
         try:
             run = dataset.cluster.run(
                 program,
@@ -186,6 +194,7 @@ def run_observed(
             for c in contexts:
                 if c.disk.pool is not None:
                     c.disk.pool.drop_dirty()
+            _discard_attempt(contexts, stored_before, store)
             if not recover or restarts > max_restarts:
                 raise
     for rec in recorders:
@@ -197,3 +206,19 @@ def run_observed(
     return ObservedRun(
         run, failed_time, restarts, tracers, injector, registry, monitor
     )
+
+
+def _discard_attempt(
+    contexts, stored_before: list[set], store: CheckpointStore | None
+) -> None:
+    """Delete every chunk a dead attempt stored on each rank's disk: the
+    fragments, bags and spools it held, which no later attempt reads (a
+    restart rewrites its fragments from a checkpoint). Chunks stored
+    before the attempt — the initial fragments a from-scratch restart
+    needs — and checkpoint blobs stay."""
+    for c, before in zip(contexts, stored_before):
+        keep = before | (store.handles(c.disk) if store is not None else set())
+        backend = c.disk.backend
+        for handle in backend.handles():
+            if handle not in keep:
+                backend.delete(handle)

@@ -10,9 +10,14 @@ The tree is built with **mixed parallelism**:
   attribute-based exchange, alive intervals are evaluated with the
   single-assignment approach, and each processor partitions its local
   share — the I/O stays local and uniform, so load balance is near
-  perfect (Lemma 2). The large nodes of one breadth-first level run in
-  consecutive batches sized to the rank's buffer pool, each batch paying
-  one set of collectives; a batch of one is the paper's per-node cycle.
+  perfect (Lemma 2). A streaming partition pass also folds both
+  children's statistics (:class:`~repro.clouds.nodestats.FoldedStats`,
+  carried on the child's ``_LargeTask``), so a node whose parent
+  streamed skips its statistics pass; the root, a checkpoint-restored
+  frontier and the children of in-core nodes still make one. The large
+  nodes of one breadth-first level run in consecutive batches sized to
+  the rank's buffer pool, each batch paying one set of collectives; a
+  batch of one is the paper's per-node cycle.
 * **Small nodes** are deferred until every large node is done, then
   handled with *delayed task parallelism*: cost-based assignment of whole
   nodes to processors, one batched redistribution, local in-memory exact
@@ -33,6 +38,7 @@ from repro.cluster.machine import Cluster, RankContext, SpmdRun
 from repro.clouds.builder import node_boundaries
 from repro.clouds.gini import gini_from_counts
 from repro.clouds.intervals import class_counts, scale_q
+from repro.clouds.nodestats import FoldedStats
 from repro.clouds.tree import DecisionTree, TreeNode, decode_node
 from repro.data.schema import Schema
 from repro.ooc.columnset import ColumnSet
@@ -60,6 +66,9 @@ class _LargeTask:
     sample_cols: dict[str, np.ndarray]
     sample_labels: np.ndarray
     counts: np.ndarray  # global class counts (identical on every rank)
+    #: this rank's statistics of the node, folded by its parent's
+    #: streaming partition pass; None means the node makes a stats pass
+    folded: FoldedStats | None = None
 
 
 @dataclass
@@ -694,7 +703,8 @@ def _process_batch(
         locals_list = []
         for t, q in zip(batch, qs):
             bounds = node_boundaries(schema, t.sample_cols, q)
-            access = open_node(ctx, t.columnset, schema)
+            access = open_node(ctx, t.columnset, schema, t.folded)
+            t.folded = None
             accesses.append(access)
             locals_list.append(access.stats_pass(bounds))
         exchanged = exchange_level_stats(
@@ -721,17 +731,30 @@ def _process_batch(
 
         # (3) all partition passes locally, closed by one allreduce of the
         # stacked per-node left-count matrix (skipped when the whole batch
-        # went leaf — every rank agrees, the splits are replicated)
+        # went leaf — every rank agrees, the splits are replicated). A
+        # streaming pass folds both children's statistics on the way
         children: dict[int, tuple[ColumnSet, ColumnSet]] = {}
+        samples: dict[int, list[tuple[dict, np.ndarray]]] = {}
+        folds: dict[int, tuple[FoldedStats, FoldedStats]] = {}
         left_matrix = None
         if splitting:
             ctx.timer.start("partition")
             locals_left = []
             for idx in splitting:
+                t = batch[idx]
+                smask = splits[idx].goes_left(t.sample_cols[splits[idx].attribute])
+                samples[idx] = [
+                    ({k: v[m] for k, v in t.sample_cols.items()}, t.sample_labels[m])
+                    for m in (smask, ~smask)
+                ]
+                if accesses[idx].folds:
+                    folds[idx] = tuple(
+                        FoldedStats(schema, cols) for cols, _ in samples[idx]
+                    )
                 left_cs, right_cs, local_left = accesses[idx].partition(
-                    splits[idx]
+                    splits[idx], folds.get(idx)
                 )
-                batch[idx].columnset.delete()
+                t.columnset.delete()
                 children[idx] = (left_cs, right_cs)
                 locals_left.append(local_left)
             left_matrix = ctx.comm.allreduce(np.stack(locals_left))
@@ -767,27 +790,19 @@ def _process_batch(
             "counts": t.counts,
             "depth": t.depth,
         }
-        smask = split.goes_left(t.sample_cols[split.attribute])
-        next_frontier.append(
-            _LargeTask(
-                node_id=2 * t.node_id + 1,
-                depth=t.depth + 1,
-                columnset=children[idx][0],
-                sample_cols={k: v[smask] for k, v in t.sample_cols.items()},
-                sample_labels=t.sample_labels[smask],
-                counts=left_counts,
+        fold = folds.get(idx, (None, None))
+        for side, counts in enumerate((left_counts, right_counts)):
+            next_frontier.append(
+                _LargeTask(
+                    node_id=2 * t.node_id + 1 + side,
+                    depth=t.depth + 1,
+                    columnset=children[idx][side],
+                    sample_cols=samples[idx][side][0],
+                    sample_labels=samples[idx][side][1],
+                    counts=counts,
+                    folded=fold[side],
+                )
             )
-        )
-        next_frontier.append(
-            _LargeTask(
-                node_id=2 * t.node_id + 2,
-                depth=t.depth + 1,
-                columnset=children[idx][1],
-                sample_cols={k: v[~smask] for k, v in t.sample_cols.items()},
-                sample_labels=t.sample_labels[~smask],
-                counts=t.counts - left_counts,
-            )
-        )
     return next_frontier
 
 

@@ -48,9 +48,11 @@ __all__ = ["break_even_node_size", "auto_q_switch", "COLLECTIVES_PER_LARGE_NODE"
 #: allgather, member alltoall, interior minloc, left-count allreduce)
 COLLECTIVES_PER_LARGE_NODE = 6
 
-#: streaming passes over a large node (stats read, alive read, partition
-#: read+write)
-PASSES_PER_LARGE_NODE = 4
+#: streaming passes over a large node below the root (alive read,
+#: partition read+write): its statistics are folded by its parent's
+#: partition pass. The root, which has no parent pass, also makes the
+#: stats read, so it streams four times
+PASSES_PER_LARGE_NODE = 3
 
 #: deferred subtrees per processor, by volume, that the switch leaves for
 #: the LPT assignment of small tasks to balance

@@ -51,6 +51,12 @@ class StorageBackend(ABC):
     def delete(self, handle: object) -> None:
         """Free one chunk."""
 
+    def handles(self) -> list[object]:
+        """Handles of every chunk stored now. A fit lists them before
+        each attempt so that a restart can delete what a dead attempt
+        stored; a backend that a fit uses must implement it."""
+        raise NotImplementedError
+
     def overwrite(self, handle: object, arr: np.ndarray) -> None:
         """Replace the payload under an existing handle in place.
 
@@ -84,6 +90,9 @@ class InMemoryBackend(StorageBackend):
 
     def delete(self, handle: object) -> None:
         self._chunks.pop(handle, None)
+
+    def handles(self) -> list[object]:
+        return list(self._chunks)
 
     def overwrite(self, handle: object, arr: np.ndarray) -> None:
         if handle not in self._chunks:
@@ -132,6 +141,14 @@ class FileBackend(StorageBackend):
             os.unlink(str(handle))
         except FileNotFoundError:
             pass
+
+    def handles(self) -> list[object]:
+        """The chunk files in the spool directory."""
+        return [
+            os.path.join(self.root, name)
+            for name in sorted(os.listdir(self.root))
+            if name.startswith("chunk-") and name.endswith(".npy")
+        ]
 
     def overwrite(self, handle: object, arr: np.ndarray) -> None:
         np.save(str(handle), arr, allow_pickle=False)

@@ -268,6 +268,9 @@ class _InvalidatingBackend(StorageBackend):
         self._pool.invalidate(handle)
         self._inner.delete(handle)
 
+    def handles(self):
+        return self._inner.handles()
+
     def overwrite(self, handle, arr) -> None:
         self._pool.invalidate(handle, flush=True)
         self._inner.overwrite(handle, arr)
