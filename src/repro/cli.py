@@ -327,18 +327,25 @@ def cmd_speedup(args: argparse.Namespace) -> int:
     return 0
 
 
+#: buffer-pool modes the chaos sweep runs every plan under: without a
+#: pool, and with one, whose dirty chunks a dead attempt must drop
+CHAOS_POOLS = ("off", "lru+prefetch")
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Sweep the standard fault plans: does every chaos run survive, does
-    the recovered tree match the fault-free one bit for bit, and do the
-    three fault views — the injector's log, the trace's fault events and
-    ``repro_faults_total`` — count the same faults?"""
+    """Sweep the standard fault plans with the buffer pool off and on:
+    does every chaos run survive, does the recovered tree match the
+    fault-free one bit for bit, and do the three fault views — the
+    injector's log, the trace's fault events and ``repro_faults_total``
+    — count the same faults?"""
     from repro.cluster import SpmdProgramError, standard_plans
     from repro.data import generate_quest
 
-    def build(seed: int, plan=None):
+    def build(seed: int, pool: str, plan=None):
         net, disk, compute = scaled_models(args.scale)
         cluster = Cluster(
-            args.ranks, network=net, disk=disk, compute=compute, seed=seed
+            args.ranks, network=net, disk=disk, compute=compute, seed=seed,
+            buffer_pool=pool,
         )
         columns, labels = generate_quest(args.records, function=2, seed=seed)
         dataset = DistributedDataset.create(
@@ -353,37 +360,41 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     rows = []
     all_ok = True
     for seed in args.seeds:
-        baseline = build(seed).tree.to_dict()
-        for plan in standard_plans(args.ranks):
-            try:
-                res = build(seed, plan)
-            except SpmdProgramError:
-                rows.append([plan.name, seed, "-", "-", "no", "no", "-"])
-                all_ok = False
-                continue
-            recovered = res.tree.to_dict() == baseline
-            traced = sum(len(t.fault_events()) for t in res.tracers)
-            metered = sum(
-                s.value for s in res.metrics.merged()["repro_faults_total"]
-            )
-            agree = len(res.fault_events) == traced == metered
-            all_ok &= recovered and agree
-            rows.append(
-                [
-                    plan.name,
-                    seed,
-                    res.n_restarts,
-                    len(res.fault_events),
-                    "yes",
-                    "yes" if recovered else "NO",
-                    "yes" if agree else f"NO ({traced} traced, {metered:g} metered)",
-                ]
-            )
+        # the pool never changes the tree: one fault-free baseline per seed
+        baseline = build(seed, "off").tree.to_dict()
+        for pool in CHAOS_POOLS:
+            for plan in standard_plans(args.ranks):
+                try:
+                    res = build(seed, pool, plan)
+                except SpmdProgramError:
+                    rows.append([plan.name, seed, pool, "-", "-", "no", "no", "-"])
+                    all_ok = False
+                    continue
+                recovered = res.tree.to_dict() == baseline
+                traced = sum(len(t.fault_events()) for t in res.tracers)
+                metered = sum(
+                    s.value for s in res.metrics.merged()["repro_faults_total"]
+                )
+                agree = len(res.fault_events) == traced == metered
+                all_ok &= recovered and agree
+                rows.append(
+                    [
+                        plan.name,
+                        seed,
+                        pool,
+                        res.n_restarts,
+                        len(res.fault_events),
+                        "yes",
+                        "yes" if recovered else "NO",
+                        "yes" if agree
+                        else f"NO ({traced} traced, {metered:g} metered)",
+                    ]
+                )
     print(
         format_table(
             [
-                "plan", "seed", "restarts", "faults", "survived", "recovered",
-                "views agree",
+                "plan", "seed", "pool", "restarts", "faults", "survived",
+                "recovered", "views agree",
             ],
             rows,
             title=f"chaos sweep: {args.records:,} records on {args.ranks} ranks",
@@ -701,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser(
         "chaos",
-        help="fault-injection sweep: crash/corrupt/slow ranks, verify recovery",
+        help="fault-injection sweep, pool off and on: crash/corrupt/slow "
+        "ranks, verify recovery",
     )
     c.add_argument("--records", type=int, default=4000)
     c.add_argument("--ranks", type=int, default=4)

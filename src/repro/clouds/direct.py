@@ -111,9 +111,12 @@ def build_subtree_direct(
 ) -> TreeNode:
     """Recursive exact tree construction of an in-memory fragment.
 
-    ``on_node(n_records)`` is invoked once per constructed node so callers
-    (e.g. the simulated small-node processing) can charge compute costs.
-    Node ids are assigned depth-first starting at ``next_id``.
+    ``on_node(n_records)`` is invoked once per node that searches for a
+    split, so callers (e.g. the simulated small-node processing) can
+    charge its sort. A stopping-rule leaf is not charged: it runs no
+    split search and writes no child, and its class counts come from its
+    parent's split. Node ids are assigned depth-first starting at
+    ``next_id``.
     """
     return _build(
         schema, columns, labels, stopping, depth, next_id, enumerate_limit, on_node
@@ -135,10 +138,10 @@ def _build(
     left subtree."""
     counts = class_counts(labels, schema.n_classes)
     node = TreeNode(node_id=next_id, depth=depth, class_counts=counts)
-    if on_node is not None:
-        on_node(int(counts.sum()))
     if stopping.is_leaf(counts, depth):
         return node, next_id + 1
+    if on_node is not None:
+        on_node(int(counts.sum()))
     split = find_split_direct(schema, columns, labels, enumerate_limit)
     if split is None:
         return node, next_id + 1

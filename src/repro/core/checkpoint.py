@@ -137,9 +137,11 @@ def run_observed(
     ``health``). With ``recover`` an attempt that dies with
     :class:`~repro.cluster.errors.SpmdProgramError` restarts from the
     latest checkpoint, up to ``max_restarts`` times; without it the
-    error propagates. Either way the dead attempt's dirty buffer-pool
-    chunks are dropped unwritten, and every chunk it stored is deleted
-    except checkpoint blobs (:func:`_discard_attempt`). The recorders are
+    error propagates. Either way every chunk the dead attempt stored is
+    deleted except checkpoint blobs (:func:`_discard_attempt`). Its dirty
+    buffer-pool chunks are among them (children, small-task spools and
+    bags are all stored by the attempt), and a delete drops a dirty
+    chunk unwritten: its RAM died with the attempt. The recorders are
     finalized and ``repro_run_elapsed_seconds`` set, dead attempts
     included.
     """
@@ -190,10 +192,6 @@ def run_observed(
             # time already burned by the dead attempt counts
             failed_time += max(c.clock.now for c in contexts)
             restarts += 1
-            # the children the dead attempt kept dirty died with its RAM
-            for c in contexts:
-                if c.disk.pool is not None:
-                    c.disk.pool.drop_dirty()
             _discard_attempt(contexts, stored_before, store)
             if not recover or restarts > max_restarts:
                 raise
@@ -213,9 +211,11 @@ def _discard_attempt(
 ) -> None:
     """Delete every chunk a dead attempt stored on each rank's disk: the
     fragments, bags and spools it held, which no later attempt reads (a
-    restart rewrites its fragments from a checkpoint). Chunks stored
-    before the attempt — the initial fragments a from-scratch restart
-    needs — and checkpoint blobs stay."""
+    restart rewrites its fragments from a checkpoint). The deletes go
+    through the buffer pool, which drops each dirty chunk unwritten, so
+    the discard charges nothing. Chunks stored before the attempt — the
+    initial fragments a from-scratch restart needs — and checkpoint
+    blobs stay."""
     for c, before in zip(contexts, stored_before):
         keep = before | (store.handles(c.disk) if store is not None else set())
         backend = c.disk.backend

@@ -21,7 +21,7 @@ from repro.cluster.machine import RankContext
 from repro.clouds.direct import StoppingRule, build_subtree_direct
 from repro.clouds.tree import encode_node
 from repro.data.schema import Schema
-from repro.ooc.columnset import ColumnSet
+from repro.ooc.columnset import ChunkWriter, ColumnSet
 from repro.ooc.memory import MemoryExceededError
 
 from .alive import assign_by_cost
@@ -87,17 +87,23 @@ def process_small_tasks(
     incoming = comm.alltoall(parts)
 
     # destination side of compute-dependent parallel I/O: spool the
-    # received fragments to the local disk (all tasks arrive before any is
-    # processed; memory cannot hold them all at once)
-    spooled: dict[int, ColumnSet] = {}
+    # received fragments to the local disk, one writer per task fed in
+    # source order (all tasks arrive before any is processed). The spool
+    # is written back: its chunks stay dirty in the buffer pool, and
+    # their disk write is charged only for what the pool cannot hold or
+    # evicts before the build loop reads and deletes it
+    writers: dict[int, ChunkWriter] = {}
     for src in incoming:
         for k, (cols, labels) in src.items():
-            spool = spooled.get(k)
-            if spool is None:
-                spool = spooled[k] = ColumnSet(
-                    ctx.disk, schema, name=f"small-{tasks[k].node_id}@{ctx.rank}"
+            if k not in writers:
+                writers[k] = ChunkWriter(
+                    ColumnSet(
+                        ctx.disk, schema, name=f"small-{tasks[k].node_id}@{ctx.rank}"
+                    ),
+                    write_back=True,
                 )
-            spool.append_batch(cols, labels)  # charges the write
+            writers[k].write(cols, labels)
+    spooled = {k: w.close() for k, w in writers.items()}
 
     # build owned subtrees one at a time, in memory
     subtrees: dict[int, dict] = {}

@@ -63,7 +63,7 @@ from repro.core.dataset import DistributedDataset
 from repro.core.pclouds import fit_tree_program
 from repro.data.schema import Schema
 from repro.dnc.cost import DncCostModel, TreeShape
-from repro.ooc.columnset import ColumnSet
+from repro.ooc.columnset import ChunkWriter, ColumnSet
 
 from .bagging import TreeSeeds, bag_multiplicities, spawn_tree_seeds
 from .regimes import REGIMES, resolve_n_groups
@@ -463,6 +463,11 @@ def _derive_bag(
     on ranks of the owning group, ``None`` elsewhere. The bag multiset
     is a pure function of ``(mask seed, n_total)``, never of the
     machine layout — the bit-identity invariant.
+
+    The bag lands in whole chunks, rows in order, and is written back:
+    the tree's root reads it and the fit deletes it, so its disk write
+    is charged only for the chunks the buffer pool cannot hold or evicts
+    first (:class:`~repro.ooc.columnset.ChunkWriter`).
     """
     tree = seeds.tree
     owner_group = tree % n_groups
@@ -472,7 +477,10 @@ def _derive_bag(
         mult = bag_multiplicities(seeds.mask, n_total)
         ctx.charge_compute(ops=n_total)
         out = (
-            ColumnSet(ctx.disk, schema, name=f"r{ctx.rank}-bag{tree}")
+            ChunkWriter(
+                ColumnSet(ctx.disk, schema, name=f"r{ctx.rank}-bag{tree}"),
+                write_back=True,
+            )
             if mine
             else None
         )
@@ -493,9 +501,7 @@ def _derive_bag(
                 ctx.charge_compute(ops=k + len(take))
             if n_groups == 1:
                 if take is not None and len(take):
-                    out.append_batch(
-                        {n: batch[n][take] for n in names}, labels[take]
-                    )
+                    out.write({n: batch[n][take] for n in names}, labels[take])
                 continue
             parts: list = [None] * ctx.size
             if take is not None and len(take):
@@ -514,14 +520,14 @@ def _derive_bag(
             if out is not None:
                 recv = [g for g in got if g is not None]
                 if recv:
-                    out.append_batch(
+                    out.write(
                         {
                             n: np.concatenate([g[0][n] for g in recv])
                             for n in names
                         },
                         np.concatenate([g[1] for g in recv]),
                     )
-        return out
+        return out.close() if out is not None else None
     finally:
         ctx.timer.stop()
 

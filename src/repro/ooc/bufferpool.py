@@ -11,29 +11,32 @@ machine:
   a :class:`~repro.ooc.memory.MemoryBudget` (the rank's cache RAM,
   distinct from the paper's node-processing limit that decides in-core
   vs. streaming) in two ways. *On read*: a streaming read
-  (:meth:`BufferPool.read`) admits the chunk it fetched. *On partition
-  write* (write-allocate): every chunk of a partition child is admitted
-  as it is stored, so the next level reads the child it is about to
-  process from memory instead of re-reading what the level above just
-  wrote. A child is write-allocated only when the pool can hold one
-  whole row batch of it (:func:`~repro.ooc.columnset.default_batch_rows`
-  rows); a pool smaller than one disk block, whose chunks are a block,
-  admits no child. A cache hit serves the payload for a small
-  memory-copy charge instead of a seek + transfer.
-* **Write-back of in-core children** — the children of a streaming
+  (:meth:`BufferPool.read`) admits the chunk it fetched. *On write*
+  (write-allocate): every chunk of a partition child, small-task spool
+  or bag is admitted as it is stored, so the reader that comes next
+  reads it from memory instead of re-reading what was just written. A
+  spool is write-allocated only when the pool can hold one whole row
+  batch of it (:func:`~repro.ooc.columnset.default_batch_rows` rows); a
+  pool smaller than one disk block, whose chunks are a block, admits
+  none. A cache hit serves the payload for a small memory-copy charge
+  instead of a seek + transfer.
+* **Write-back of the fit's own spools** — the children of a streaming
   (out-of-core) node are written through: their disk write is charged
   as they are stored, as the paper's out-of-core partition pass pays
-  it. The children of an in-core node are admitted *dirty* instead: the
-  disk write is owed, and charged only if the chunk leaves the pool some
-  other way than being deleted — evicted, or rewritten under the pool by
-  ``overwrite``. A child the next level reads and then deletes while it
-  is still resident is never written, as the small-node phase already
-  charges no child write for an in-core node. A chunk the pool cannot
-  admit is written through at once. The backend still stores every
-  chunk on the host, so CRCs, spool files and checkpoints are as
-  before; a restart drops the dead attempt's dirty chunks unwritten
-  (:meth:`BufferPool.drop_dirty`), since it reads only checkpoint or
-  set-up fragments, which are never dirty.
+  it. A spool that a fit writes, reads back and deletes within one
+  attempt is admitted *dirty* instead: an in-core node's children, the
+  owner's spool of received small-node fragments, and a forest tree's
+  bag. The disk write is owed, and charged only if the chunk leaves the
+  pool some other way than being deleted — evicted, or rewritten under
+  the pool by ``overwrite``. A spool that is read and then deleted
+  while it is still resident is never written, as the small-node phase
+  already charges no child write for an in-core node. A chunk the pool
+  cannot admit is written through at once. Set-up writes (before the
+  fit's clock starts) and checkpoint restores are not admitted. The
+  backend still stores every chunk on the host, so CRCs, spool files
+  and checkpoints are as before. A restart deletes every chunk the
+  dead attempt stored, and a delete drops a dirty chunk unwritten, so
+  the dead attempt's dirty chunks die with its RAM.
 * **Overlapped prefetch** — during a streaming scan the read of chunk
   *i+1* is issued while chunk *i* computes. The disk tracks an
   I/O-completion horizon (:attr:`~repro.ooc.disk.LocalDisk.io_front`);
@@ -109,7 +112,8 @@ class PoolStats:
     #: consumer (``begin_tree``) — the forest's shared-cache payoff
     cross_tree_hits: int = 0
     cross_tree_hit_bytes: int = 0
-    #: partition-child chunks admitted as they were written
+    #: chunks admitted as they were written: partition children,
+    #: small-task spools and forest bags
     write_admits: int = 0
     write_admit_bytes: int = 0
     #: dirty chunks whose deferred disk write an eviction or an
@@ -172,9 +176,9 @@ class BufferPool:
     #: the in-flight prefetches among ``_entries`` (``array`` is None)
     _inflight: "dict[object, _Entry]" = field(default_factory=dict)
     _pinned: set = field(default_factory=set)
-    #: set while a partition child's chunks are stored (write-allocate,
-    #: :meth:`admitting_writes`); ``write_back`` when they are admitted
-    #: dirty, their disk write deferred
+    #: set while a partition child's or a spool's chunks are stored
+    #: (write-allocate, :meth:`admitting_writes`); ``write_back`` when
+    #: they are admitted dirty, their disk write deferred
     admit_writes: bool = field(default=False, init=False)
     write_back: bool = field(default=False, init=False)
 
@@ -349,14 +353,6 @@ class BufferPool:
         if entry.array is None:
             del self._inflight[handle]
             self.stats.prefetch_wasted += 1
-
-    def drop_dirty(self) -> None:
-        """Forget every dirty chunk without writing it: the attempt whose
-        RAM held it died, and a restart reads only checkpoint-restored or
-        set-up fragments, which are never dirty."""
-        for handle in [h for h, e in self._entries.items() if e.dirty]:
-            self._pinned.discard(handle)
-            self.budget.release(self._entries.pop(handle).nbytes)
 
     def drop_inflight(self) -> None:
         """Forget un-consumed prefetches (their completion times belong

@@ -181,11 +181,13 @@ class ChunkWriter:
     rank's buffer pool can hold one whole chunk of rows, every chunk is
     also admitted into the pool as it is stored, so the next level reads
     it from memory. Its disk write is charged as it is stored
-    (write-through), as the out-of-core partition pass pays it. The child
-    of an in-core node is written with ``write_back=True``: admitted the
-    same way, but dirty, so its disk write is charged only if the chunk
-    leaves the pool other than by deletion, and at once if the pool
-    cannot admit it (see :mod:`repro.ooc.bufferpool`).
+    (write-through), as the out-of-core partition pass pays it. A spool
+    the fit writes, reads back and deletes within one attempt is written
+    with ``write_back=True``: the child of an in-core node, the owner's
+    spool of received small-node fragments and a forest tree's bag. It is
+    admitted the same way, but dirty, so its disk write is charged only
+    if the chunk leaves the pool other than by deletion, and at once if
+    the pool cannot admit it (see :mod:`repro.ooc.bufferpool`).
     """
 
     def __init__(

@@ -7,6 +7,8 @@ scenario: re-read I/O collapses when a streaming node's columns fit the
 cache, and fault-injected corruption is still caught through the cache.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from repro.cluster.stats import RankStats
 from repro.clouds import CloudsConfig
 from repro.clouds.sse import AliveInterval, member_mask, stacked_member_masks
 from repro.core import DistributedDataset, PClouds, PCloudsConfig
+from repro.core.checkpoint import _discard_attempt
 from repro.data import generate_quest, quest_schema
 from repro.ooc import (
     BufferPool,
@@ -463,14 +466,20 @@ class TestWriteBack:
         assert not small.pool._entries
 
     def test_clear_and_restart_drop_dirty_chunks_unwritten(self):
+        """A restart's clean-up deletes the chunks the dead attempt
+        stored; the dirty ones go unwritten, older clean ones stay."""
         disk = make_disk(pool_bytes=1 << 20)
-        self.child(disk)
         clean, _ = chunked_array(disk, nchunks=1)
+        stored_before = [set(disk.backend.handles())]
+        self.child(disk)
         written = disk.stats.bytes_written
         list(clean.iter_chunks())
-        disk.pool.drop_dirty()
+        assert any(e.dirty for e in disk.pool._entries.values())
+        _discard_attempt([SimpleNamespace(disk=disk)], stored_before, None)
         assert [e.dirty for e in disk.pool._entries.values()] == [False]
         assert disk.pool.budget.reserved == clean.nbytes
+        assert set(disk.backend.handles()) == stored_before[0]
+        assert disk.stats.bytes_written == written
         self.child(disk)
         disk.pool.clear()
         assert not disk.pool._entries and disk.pool.budget.reserved == 0
@@ -536,8 +545,10 @@ class TestWriteBackOps:
                         assert handle not in charged
                 elif op == "clear":
                     pool.clear()
-                else:
-                    pool.drop_dirty()
+                else:  # the restart deletes the dead attempt's dirty chunks
+                    for h in dirty0:
+                        disk.backend.delete(h)
+                    live[:] = [x for x in live if x[0] not in dirty0]
             dirty1 = {h for h, e in pool._entries.items() if e.dirty}
             gone = dirty0 - dirty1
             if op in ("delete", "clear", "restart"):

@@ -126,13 +126,45 @@ def test_write_backs_of_evicted_children_are_writes_in_every_view(quest):
     )
     res = PClouds(cfg).fit(ds, seed=2, trace=True, metrics=True)
     assert_views_agree(res, ds.contexts, stats0)
-    assert all(c.disk.pool.stats.write_backs for c in ds.contexts)
+    assert_writes_agree(res, ds.contexts, written0)
+
+
+def test_write_backs_of_evicted_spools_are_writes_in_every_view(quest):
+    """Every large node streams, so its children are written through and
+    only the small-task spools are written back; they overflow a small
+    pool and are evicted dirty. Each deferred write is a write in the
+    trace, the metrics and RankStats."""
+    ds = dataset(
+        quest,
+        p=2,
+        memory_limit=4 * 1024,
+        buffer_pool="lru+prefetch",
+        pool_bytes=8 * 1024,
+        disk=DiskModel(block=4096),
+    )
+    stats0 = [(c.stats.bytes_sent, c.stats.bytes_received) for c in ds.contexts]
+    written0 = [c.stats.bytes_written for c in ds.contexts]
+    cfg = PCloudsConfig(
+        clouds=CloudsConfig(q_root=60, sample_size=400, min_node=8), q_switch=8
+    )
+    res = PClouds(cfg).fit(ds, seed=2, trace=True, metrics=True)
+    assert_views_agree(res, ds.contexts, stats0)
+    assert_writes_agree(res, ds.contexts, written0, phase="small_nodes")
+
+
+def assert_writes_agree(res, contexts, written0, phase=None):
+    """Per rank, the traced writes (of ``phase``, if given) hold every
+    write-back, and all traced writes equal the metered ones and the
+    fit's ``RankStats.bytes_written``."""
+    assert all(c.disk.pool.stats.write_backs for c in contexts)
     metered = totals(res.metrics, "repro_disk_bytes_total", 0, 1)
-    for tracer, ctx, w0 in zip(res.tracers, ds.contexts, written0):
-        traced = sum(e.nbytes for e in tracer.disk_events() if e.op == "write")
+    for tracer, ctx, w0 in zip(res.tracers, contexts, written0):
+        writes = [e for e in tracer.disk_events() if e.op == "write"]
+        traced = sum(e.nbytes for e in writes)
         assert traced == metered[(str(ctx.rank), "write")]
         assert traced == ctx.stats.bytes_written - w0
-        assert traced >= ctx.disk.pool.stats.write_back_bytes > 0
+        in_phase = sum(e.nbytes for e in writes if phase in (None, e.phase))
+        assert in_phase >= ctx.disk.pool.stats.write_back_bytes > 0
         assert ctx.pool_budget.high_water <= ctx.pool_budget.limit
 
 

@@ -1,10 +1,11 @@
-"""Write-back of in-core children, end to end.
+"""Write-back of in-core children and small-task spools, end to end.
 
-An in-core node's children stay dirty in the rank's buffer pool; their
-disk write is charged only if they leave it other than by deletion. A
-fit whose pool holds every child therefore writes no child at all, and
-must still grow the pool-off tree, end with no dirty chunk, and recover
-the fault-free tree from corruption and crashes that hit those children.
+An in-core node's children and the owner's spool of received small-node
+fragments stay dirty in the rank's buffer pool; their disk write is
+charged only if they leave it other than by deletion. An in-core fit
+whose pool holds everything therefore writes nothing at all, and must
+still grow the pool-off tree, end with no dirty chunk, and recover the
+fault-free tree from corruption and crashes that hit those chunks.
 """
 
 from collections import defaultdict
@@ -13,9 +14,8 @@ import pytest
 
 from repro.clouds import CloudsConfig
 from repro.cluster import CorruptChunk, CrashAtPhase, FaultPlan
-from repro.core import DistributedDataset, PClouds, PCloudsConfig
+from repro.core import DistributedDataset, PClouds, PCloudsConfig, checkpoint
 from repro.data import generate_quest, quest_schema
-from repro.ooc import BufferPool
 
 from conftest import make_cluster
 
@@ -77,12 +77,15 @@ def test_in_core_fit_writes_no_child(quest, p, method, exchange):
     assert on.tree.to_dict() == off.tree.to_dict()
     assert all(c.disk.pool.stats.evictions == 0 for c in ds.contexts)
     assert sum(c.disk.pool.stats.write_admits for c in ds.contexts) > 0
+    # the pool-off fit writes every child in its partition phase and,
+    # on more than one rank, every received spool in its small-node
+    # phase, and nothing else; the pool holds all of it, so the pool-on
+    # fit writes nothing at all
+    off_phases = {ph for _, phs in off_writes for ph, n in phs.items() if n}
+    assert off_phases == ({"partition", "small_nodes"} if p > 1 else {"partition"})
     for (w_off, ph_off), (w_on, ph_on) in zip(off_writes, on_writes):
-        # the pool-off fit writes every child in its partition phase;
-        # write-back drops exactly those bytes and nothing else
-        assert "partition" not in ph_on
-        assert w_on == w_off - ph_off.get("partition", 0)
-    assert sum(ph.get("partition", 0) for _, ph in off_writes) > 0
+        assert w_off == sum(ph_off.values())
+        assert w_on == 0 and not ph_on
     assert dirty_chunks(ds) == 0
     assert all(c.pool_budget.high_water <= c.pool_budget.limit for c in ds.contexts)
 
@@ -134,15 +137,29 @@ def test_corrupt_write_back_child_is_caught(quest, fault_free, which):
 def test_crash_in_partition_drops_the_dead_attempts_dirty_children(
     quest, fault_free, monkeypatch
 ):
+    """The restart's clean-up deletes every chunk the dead attempt
+    stored, its dirty children among them, and a delete drops a dirty
+    chunk unwritten: the discard charges nothing."""
     base = fault_free[0]
-    dropped = []
-    drop_dirty = BufferPool.drop_dirty
+    discards = []
+    discard = checkpoint._discard_attempt
 
-    def counting_drop(pool):
-        dropped.append(sum(e.dirty for e in pool._entries.values()))
-        drop_dirty(pool)
+    def snapshot(contexts):
+        return [
+            (
+                sum(e.dirty for e in c.disk.pool._entries.values()),
+                c.stats.bytes_written,
+                c.disk.pool.stats.write_backs,
+            )
+            for c in contexts
+        ]
 
-    monkeypatch.setattr(BufferPool, "drop_dirty", counting_drop)
+    def counting_discard(contexts, stored_before, store):
+        before = snapshot(contexts)
+        discard(contexts, stored_before, store)
+        discards.append((before, snapshot(contexts)))
+
+    monkeypatch.setattr(checkpoint, "_discard_attempt", counting_discard)
     ds = in_core_dataset(quest, 2, "lru+prefetch")
     at_attempt = []
 
@@ -161,6 +178,10 @@ def test_crash_in_partition_drops_the_dead_attempts_dirty_children(
     faulty = PClouds(config()).fit(ds, seed=2, faults=plan, recover=True)
     assert faulty.n_restarts == 1
     assert faulty.tree.to_dict() == base.tree.to_dict()
-    assert sum(dropped) > 0  # the dead attempt died holding dirty children
+    [(before, after)] = discards
+    assert sum(dirty for dirty, _, _ in before) > 0  # died holding dirty children
+    for (_, written0, backs0), (dirty, written1, backs1) in zip(before, after):
+        assert dirty == 0
+        assert (written1, backs1) == (written0, backs0)  # dropped unwritten
     assert [n for attempt, n in at_attempt if attempt > 0] == [0, 0]
     assert dirty_chunks(ds) == 0
